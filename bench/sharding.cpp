@@ -34,7 +34,7 @@
 
 #include "faults/shard_attack.hpp"
 #include "runtime/sharded_cluster.hpp"
-#include "runtime/workload/sharded_driver.hpp"
+#include "runtime/workload/sim_driver.hpp"
 
 using namespace sbft;
 using namespace sbft::runtime;
@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
         options.protocol = protocol_config();
         options.warmup_us = warmup;
         options.measure_us = measure;
-        const Report report = workload::run_sharded_sim_workload(options);
+        const Report report = workload::run_sim_workload(options);
         print_row(options, report);
         json_runs.push_back(workload::report_json(options, report));
         ops[{static_cast<int>(stack), shards,

@@ -7,123 +7,67 @@
 //   ...       [--uds-dir /tmp/sbft] [--seed 42] [--mode closed|open] ...
 //   ...       [--warmup-ms 500] [--measure-ms 2000] [--think-us 0]
 //
-// Drives the PR-4 workload engine's stations over a TcpTransport against
-// the live replicas and prints the standard workload JSON `Report` (plus
-// the transport counters) to stdout. Exit code 0 iff the run sustained
-// traffic and completed operations.
-//
-// With `--shards N > 1` every client becomes a shard router over one
-// transport per shard (single-key ops one-group fast, cross-shard
-// multi-ops via 2PC-over-BFT), and a `--cross-fraction > 0` run ends
-// with the torn-write audit — its verdict rides in the report's
-// `sharding` object.
-#include <algorithm>
+// Drives the wall-clock workload stations (runtime/workload/station.hpp)
+// over one TcpTransport per shard group against the live replicas and
+// prints the standard workload JSON `Report` (plus the transport counters)
+// to stdout. Every client is a shard router: single-key ops go to their
+// home group, cross-group multi-ops run 2PC-over-BFT, and with one group
+// (the default) the router simply forwards to it. A `--cross-fraction > 0`
+// run ends with the torn-write audit; its verdict rides in the report's
+// `sharding` object. Exit code 0 iff the run sustained traffic and
+// completed operations; 2 on out-of-range deployment flags.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
+#include "deploy_flags.hpp"
 #include "runtime/workload/tcp_cluster.hpp"
 
 using namespace sbft;
 using namespace sbft::runtime;
-using workload::ClusterTopology;
-using workload::LoadMode;
-using workload::Options;
-using workload::Report;
-using workload::Stack;
-
-namespace {
-
-[[nodiscard]] const char* arg_value(int argc, char** argv, const char* flag,
-                                    const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-[[nodiscard]] std::uint64_t arg_u64(int argc, char** argv, const char* flag,
-                                    std::uint64_t fallback) {
-  const char* v = arg_value(argc, argv, flag, nullptr);
-  return v ? std::strtoull(v, nullptr, 10) : fallback;
-}
-
-[[nodiscard]] double arg_f64(int argc, char** argv, const char* flag,
-                             double fallback) {
-  const char* v = arg_value(argc, argv, flag, nullptr);
-  return v ? std::strtod(v, nullptr) : fallback;
-}
-
-}  // namespace
+using deploy::arg_u32;
+using deploy::arg_u64;
 
 int main(int argc, char** argv) {
-  ClusterTopology topology;
-  topology.replicas = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--replicas", 4));
-  topology.loadgens = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--loadgens", 1));
-  const auto loadgen = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--loadgen", 0));
-  const auto shards = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(arg_u64(argc, argv, "--shards", 1)));
-  const std::string host = arg_value(argc, argv, "--host", "127.0.0.1");
-  const auto base_port = arg_u64(argc, argv, "--base-port", 18000);
-  const std::string uds_dir = arg_value(argc, argv, "--uds-dir", "");
-  // Flat address plan over every shard; shard 0's slice doubles as the
-  // unsharded topology.
-  std::vector<std::string> flat_addrs;
-  for (std::uint32_t node = 0; node < shards * topology.nodes(); ++node) {
-    flat_addrs.push_back(
-        uds_dir.empty()
-            ? host + ":" + std::to_string(base_port + node)
-            : "unix:" + uds_dir + "/node" + std::to_string(node) + ".sock");
-  }
-  topology.addrs.assign(flat_addrs.begin(),
-                        flat_addrs.begin() + topology.nodes());
+  constexpr const char* kUsage =
+      "bft_loadgen --loadgen I --loadgens L [--replicas N] [--shards S] "
+      "[--stack pbft|splitbft] [--clients C] [--base-port P | --uds-dir D] "
+      "... (N, L, S >= 1; 0 <= I < L)";
+  const std::uint32_t replicas = arg_u32(argc, argv, "--replicas", 4);
+  const std::uint32_t loadgens = arg_u32(argc, argv, "--loadgens", 1);
+  const std::uint32_t loadgen = arg_u32(argc, argv, "--loadgen", 0);
+  const std::uint32_t shards = arg_u32(argc, argv, "--shards", 1);
+  deploy::require(replicas >= 1 && loadgens >= 1 && shards >= 1, kUsage,
+                  "bft_loadgen: --replicas, --loadgens and --shards must be "
+                  "at least 1");
+  deploy::require(loadgen < loadgens, kUsage,
+                  "bft_loadgen: --loadgen " + std::to_string(loadgen) +
+                      " is out of range for --loadgens " +
+                      std::to_string(loadgens));
 
-  Options options;
-  options.stack = std::strcmp(arg_value(argc, argv, "--stack", "pbft"),
-                              "splitbft") == 0
-                      ? Stack::Splitbft
-                      : Stack::Pbft;
-  options.mode = std::strcmp(arg_value(argc, argv, "--mode", "closed"),
+  workload::Options options =
+      deploy::deployment_options(argc, argv, replicas, shards);
+  options.mode = std::strcmp(deploy::arg_value(argc, argv, "--mode", "closed"),
                              "open") == 0
-                     ? LoadMode::Open
-                     : LoadMode::Closed;
-  options.clients = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--clients", 1000));
-  options.seed = arg_u64(argc, argv, "--seed", 42);
+                     ? workload::LoadMode::Open
+                     : workload::LoadMode::Closed;
   options.think_time_us = arg_u64(argc, argv, "--think-us", 0);
   options.interarrival_us = arg_u64(argc, argv, "--interarrival-us", 20'000);
   options.warmup_us = arg_u64(argc, argv, "--warmup-ms", 500) * 1000;
   options.measure_us = arg_u64(argc, argv, "--measure-ms", 2000) * 1000;
-  options.protocol.n = static_cast<std::uint32_t>(topology.replicas);
-  options.protocol.f = (options.protocol.n - 1) / 3;
-  options.protocol.batch_max = static_cast<std::size_t>(
-      arg_u64(argc, argv, "--batch-max", 200));
-  options.protocol.batch_timeout_us = 10'000;
-  options.protocol.checkpoint_interval = 50;
-  options.protocol.watermark_window = 400;
-  options.protocol.pipeline_depth = static_cast<std::size_t>(
-      arg_u64(argc, argv, "--pipeline-depth", 8));
-  options.protocol.request_timeout_us = 2'000'000;
-  options.shards = shards;
   options.cross_shard_fraction =
-      arg_f64(argc, argv, "--cross-fraction", 0.0);
-  options.multi_keys = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--multi-keys", 2));
+      std::strtod(deploy::arg_value(argc, argv, "--cross-fraction", "0"),
+                  nullptr);
+  options.multi_keys = arg_u32(argc, argv, "--multi-keys", 2);
   options.multi_groups = arg_u64(argc, argv, "--multi-groups", 1024);
 
-  const Report report =
-      shards > 1
-          ? workload::run_sharded_tcp_workload(
-                options,
-                workload::sharded_topologies(shards, topology.replicas,
-                                             topology.loadgens, flat_addrs),
-                loadgen)
-          : workload::run_tcp_workload(options, topology, loadgen);
+  const workload::Report report = workload::run_tcp_workload(
+      options,
+      workload::sharded_topologies(
+          shards, replicas, loadgens,
+          deploy::flat_addrs(argc, argv, shards * (replicas + loadgens))),
+      loadgen);
   std::printf("%s\n", workload::report_json(options, report).c_str());
   std::fflush(stdout);
 

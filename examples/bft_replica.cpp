@@ -10,43 +10,28 @@
 // The process assembles its replica (PBFT or SplitBFT) from the shared
 // seed — every process of a deployment derives identical keys, so nothing
 // is exchanged out of band — serves it over a TcpTransport for
-// `--run-secs`, then writes its transport counters as JSON and exits 0.
+// `--run-secs`, then writes its transport counters as JSON and exits 0
+// (2 on out-of-range deployment flags).
 //
 // A sharded deployment (`--shards N`) is N fully independent groups over
 // one flat address plan: this process joins shard `--shard-index` only
-// (its slice of the plan) and derives its keys from the shard seed, so
-// groups share no key material.
+// (its slice of the plan). With N > 1 it derives its keys from the shard
+// seed, so groups share no key material; with one group it uses the
+// deployment seed itself.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 
+#include "deploy_flags.hpp"
 #include "runtime/workload/tcp_cluster.hpp"
 
 using namespace sbft;
 using namespace sbft::runtime;
-using workload::ClusterTopology;
-using workload::Options;
+using deploy::arg_u32;
 using workload::ReplicaNode;
-using workload::Stack;
 
 namespace {
-
-[[nodiscard]] const char* arg_value(int argc, char** argv, const char* flag,
-                                    const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-[[nodiscard]] std::uint64_t arg_u64(int argc, char** argv, const char* flag,
-                                    std::uint64_t fallback) {
-  const char* v = arg_value(argc, argv, flag, nullptr);
-  return v ? std::strtoull(v, nullptr, 10) : fallback;
-}
 
 [[nodiscard]] std::string stats_json(const net::TransportStats& s) {
   char buf[512];
@@ -75,49 +60,36 @@ namespace {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ClusterTopology topology;
-  topology.replicas = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--replicas", 4));
-  topology.loadgens = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--loadgens", 1));
-  const auto replica = static_cast<ReplicaId>(
-      arg_u64(argc, argv, "--replica", 0));
-  const auto shards = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--shards", 1));
-  const auto shard_index = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--shard-index", 0));
-  const std::string host = arg_value(argc, argv, "--host", "127.0.0.1");
-  const auto base_port = arg_u64(argc, argv, "--base-port", 18000);
-  const std::string uds_dir = arg_value(argc, argv, "--uds-dir", "");
-  // This shard's slice of the flat `shards * nodes()` address plan.
-  for (std::uint32_t node = 0; node < topology.nodes(); ++node) {
-    const std::uint32_t flat = shard_index * topology.nodes() + node;
-    topology.addrs.push_back(
-        uds_dir.empty()
-            ? host + ":" + std::to_string(base_port + flat)
-            : "unix:" + uds_dir + "/node" + std::to_string(flat) + ".sock");
-  }
+  constexpr const char* kUsage =
+      "bft_replica --replica R --replicas N [--loadgens L] "
+      "[--shards S --shard-index K] [--stack pbft|splitbft] [--clients C] "
+      "[--base-port P | --uds-dir D] ... (N, L, S >= 1; 0 <= R < N; "
+      "0 <= K < S)";
+  const std::uint32_t replicas = arg_u32(argc, argv, "--replicas", 4);
+  const std::uint32_t loadgens = arg_u32(argc, argv, "--loadgens", 1);
+  const std::uint32_t replica = arg_u32(argc, argv, "--replica", 0);
+  const std::uint32_t shards = arg_u32(argc, argv, "--shards", 1);
+  const std::uint32_t shard_index = arg_u32(argc, argv, "--shard-index", 0);
+  deploy::require(replicas >= 1 && loadgens >= 1 && shards >= 1, kUsage,
+                  "bft_replica: --replicas, --loadgens and --shards must be "
+                  "at least 1");
+  deploy::require(replica < replicas, kUsage,
+                  "bft_replica: --replica " + std::to_string(replica) +
+                      " is out of range for --replicas " +
+                      std::to_string(replicas));
+  deploy::require(shard_index < shards, kUsage,
+                  "bft_replica: --shard-index " + std::to_string(shard_index) +
+                      " is out of range for --shards " +
+                      std::to_string(shards));
 
-  Options options;
-  options.stack = std::strcmp(arg_value(argc, argv, "--stack", "pbft"),
-                              "splitbft") == 0
-                      ? Stack::Splitbft
-                      : Stack::Pbft;
-  options.clients = static_cast<std::uint32_t>(
-      arg_u64(argc, argv, "--clients", 1000));
-  options.seed = arg_u64(argc, argv, "--seed", 42);
-  options.workers = arg_u64(argc, argv, "--workers", 4);
-  options.protocol.n = static_cast<std::uint32_t>(topology.replicas);
-  options.protocol.f = (options.protocol.n - 1) / 3;
-  options.protocol.batch_max = static_cast<std::size_t>(
-      arg_u64(argc, argv, "--batch-max", 200));
-  options.protocol.batch_timeout_us = 10'000;
-  options.protocol.checkpoint_interval = 50;
-  options.protocol.watermark_window = 400;
-  options.protocol.pipeline_depth = static_cast<std::size_t>(
-      arg_u64(argc, argv, "--pipeline-depth", 8));
-  options.protocol.request_timeout_us = 2'000'000;
-  if (shards > 1) options = workload::shard_options(options, shard_index);
+  // This shard's slice of the flat `shards * nodes` address plan, and its
+  // key material (the deployment seed itself when there is one shard).
+  const workload::ClusterTopology topology = workload::sharded_topologies(
+      shards, replicas, loadgens,
+      deploy::flat_addrs(argc, argv, shards * (replicas + loadgens)))
+      [shard_index];
+  const workload::Options options = workload::shard_options(
+      deploy::deployment_options(argc, argv, replicas, shards), shard_index);
 
   ReplicaNode node(options, topology, replica, {});
   if (!node.start()) {
@@ -129,13 +101,14 @@ int main(int argc, char** argv) {
                shard_index, replica, workload::to_string(options.stack),
                topology.addrs[replica].c_str());
 
-  const auto run_secs = arg_u64(argc, argv, "--run-secs", 10);
+  const auto run_secs = deploy::arg_u64(argc, argv, "--run-secs", 10);
   std::this_thread::sleep_for(std::chrono::seconds(run_secs));
   const net::TransportStats stats = node.transport().stats();
   node.stop();
 
   const std::string json = stats_json(stats);
-  const char* stats_out = arg_value(argc, argv, "--stats-out", nullptr);
+  const char* stats_out =
+      deploy::arg_value(argc, argv, "--stats-out", nullptr);
   if (stats_out) {
     std::ofstream out(stats_out);
     out << json << "\n";

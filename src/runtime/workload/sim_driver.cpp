@@ -5,224 +5,32 @@
 #include <utility>
 #include <vector>
 
-#include "apps/kv_store.hpp"
 #include "runtime/perf_model.hpp"
+#include "runtime/sharded_cluster.hpp"
 
 namespace sbft::runtime::workload {
 namespace {
 
-/// Per-client load actor shared by both stacks: submission pacing (closed
-/// loop with think time, open loop with Poisson arrivals and an arrival
-/// queue), latency measurement from the correct origin (submission vs
-/// arrival), and the client's private operation stream.
-template <typename Engine>
-class LoadClient final : public Actor,
-                         public std::enable_shared_from_this<LoadClient<Engine>> {
- public:
-  LoadClient(SimHarness& harness, Engine engine, const Options& options,
-             std::uint64_t client_seed, LatencyHistogram& hist)
-      : harness_(harness),
-        engine_(std::move(engine)),
-        gen_(options, client_seed),
-        rng_(client_seed ^ 0x10adc11e47ULL),
-        mode_(options.mode),
-        think_us_(options.think_time_us),
-        interarrival_us_(options.interarrival_us),
-        hist_(hist) {}
-
-  void start(Micros now) {
-    if (mode_ == LoadMode::Open) {
-      schedule_arrival();
-    } else {
-      submit(gen_.next(), now, now);
-    }
-  }
-
-  void set_measuring(bool on) noexcept { measuring_ = on; }
-  [[nodiscard]] const Engine& engine() const noexcept { return engine_; }
-
-  [[nodiscard]] std::vector<net::Envelope> handle(const net::Envelope& env,
-                                                  Micros now) override {
-    if (env.type == pbft::tag(pbft::MsgType::Reply) ||
-        env.type == pbft::tag(pbft::MsgType::ReadReply)) {
-      // `out` carries the ordered re-broadcast when a fast read falls back.
-      std::vector<net::Envelope> out;
-      if (engine_.on_reply(env, now, out)) completed(now);
-      return out;
-    }
-    if constexpr (requires(Engine& e, const net::Envelope& v, Micros t) {
-                    e.on_message(v, t);
-                  }) {
-      return engine_.on_message(env, now);
-    } else {
-      return {};
-    }
-  }
-  [[nodiscard]] std::vector<net::Envelope> tick(Micros now) override {
-    return engine_.tick(now);
-  }
-
- private:
-  static constexpr std::size_t kMaxQueued = 256;
-
-  void submit(GeneratedOp op, Micros measured_from, Micros now) {
-    inflight_measured_from_ = measured_from;
-    harness_.inject(engine_.submit(std::move(op.op), now, op.read_only));
-  }
-
-  void completed(Micros now) {
-    if (measuring_) hist_.record(now - inflight_measured_from_);
-    if (mode_ == LoadMode::Open) {
-      if (!queued_.empty()) {
-        auto [arrived, op] = std::move(queued_.front());
-        queued_.pop_front();
-        // Open loop measures from ARRIVAL: queueing delay stays visible.
-        submit(std::move(op), arrived, now);
-      }
-      return;
-    }
-    const Micros think = exponential_us(rng_, think_us_);
-    if (think == 0) {
-      submit(gen_.next(), now, now);
-      return;
-    }
-    auto self = this->shared_from_this();
-    harness_.scheduler().after(think, [self] {
-      const Micros t = self->harness_.scheduler().now();
-      self->submit(self->gen_.next(), t, t);
-    });
-  }
-
-  void schedule_arrival() {
-    const Micros gap =
-        std::max<Micros>(1, exponential_us(rng_, interarrival_us_));
-    auto self = this->shared_from_this();
-    harness_.scheduler().after(gap, [self] {
-      const Micros t = self->harness_.scheduler().now();
-      self->on_arrival(t);
-      self->schedule_arrival();
-    });
-  }
-
-  void on_arrival(Micros now) {
-    if (!engine_.in_flight()) {
-      submit(gen_.next(), now, now);
-    } else if (queued_.size() < kMaxQueued) {
-      queued_.emplace_back(now, gen_.next());
-    }
-    // else: shed load — a real open-loop generator applies back-pressure
-    // somewhere; an unbounded queue would only measure its own memory.
-  }
-
-  SimHarness& harness_;
-  Engine engine_;
-  OpGenerator gen_;
-  Rng rng_;
-  LoadMode mode_;
-  Micros think_us_;
-  Micros interarrival_us_;
-  LatencyHistogram& hist_;
-  bool measuring_{false};
-  Micros inflight_measured_from_{0};
-  std::deque<std::pair<Micros, GeneratedOp>> queued_;
-};
-
-/// Runs warmup + a quartered measurement window; `sustained` requires
-/// completions in every quarter (a stalled pipeline or view-change livelock
-/// shows up as an empty quarter even when the totals look plausible).
-template <typename Client>
-Report measure(SimHarness& harness, const Options& options,
-               std::vector<std::shared_ptr<Client>>& clients,
-               LatencyHistogram& hist) {
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    auto client = clients[i];
-    harness.scheduler().at(harness.now() + static_cast<Micros>(i * 13 + 1),
-                           [client, &harness] { client->start(harness.now()); });
-  }
-  harness.run_for(options.warmup_us);
-  for (auto& client : clients) client->set_measuring(true);
-  bool sustained = true;
-  std::uint64_t prev = hist.count();
-  for (int quarter = 0; quarter < 4; ++quarter) {
-    harness.run_for(options.measure_us / 4);
-    const std::uint64_t now_count = hist.count();
-    if (now_count == prev) sustained = false;
-    prev = now_count;
-  }
-  for (auto& client : clients) client->set_measuring(false);
-
-  Report report;
-  summarize_into(hist, options.measure_us, report);
-  report.sustained = sustained && report.completed_ops > 0;
-  for (const auto& client : clients) {
-    report.fast_reads += client->engine().fast_reads();
-    report.read_fallbacks += client->engine().read_fallbacks();
-  }
-  return report;
-}
-
-[[nodiscard]] Report run_pbft(const Options& options) {
-  PbftClusterOptions copts;
-  copts.config = options.protocol;
-  copts.seed = options.seed;
-  copts.scheme = crypto::Scheme::HmacShared;
-  copts.link_params.min_delay_us = 60;
-  copts.link_params.max_delay_us = 140;
-  PbftCluster cluster(copts,
-                      [] { return std::make_unique<apps::KvStore>(); });
-
+void wrap_perf(PbftCluster& group, std::size_t workers) {
   const CostProfile profile{};
-  std::vector<std::shared_ptr<PbftPerfActor>> perf;
-  for (ReplicaId r = 0; r < copts.config.n; ++r) {
+  for (ReplicaId r = 0; r < group.config().n; ++r) {
     auto actor = std::make_shared<PbftPerfActor>(
-        cluster.harness(), cluster.replica_actor(r), profile,
-        std::max<std::size_t>(1, options.workers));
-    pbft::Replica* replica = &cluster.replica(r);
+        group.harness(), group.replica_actor(r), profile,
+        std::max<std::size_t>(1, workers));
+    pbft::Replica* replica = &group.replica(r);
     actor->set_auth_stats([replica] { return replica->auth().stats(); });
-    cluster.harness().replace_actor(principal::pbft_replica(r), actor);
-    perf.push_back(std::move(actor));
+    group.harness().replace_actor(principal::pbft_replica(r),
+                                  std::move(actor));
   }
-
-  LatencyHistogram hist;
-  using Client = LoadClient<pbft::Client>;
-  std::vector<std::shared_ptr<Client>> clients;
-  clients.reserve(options.clients);
-  for (std::uint32_t i = 0; i < options.clients; ++i) {
-    const ClientId id = kFirstClientId + i;
-    auto client = std::make_shared<Client>(
-        cluster.harness(),
-        pbft::Client(copts.config, id, cluster.directory(),
-                     /*retry=*/4'000'000),
-        options, options.seed * 1'000'003 + i, hist);
-    cluster.harness().add_actor(principal::client(id), client,
-                                /*tick_interval_us=*/500'000);
-    clients.push_back(std::move(client));
-  }
-  Report report = measure(cluster.harness(), options, clients, hist);
-  for (ReplicaId r = 0; r < copts.config.n; ++r) {
-    report.admission_rejects += cluster.replica(r).admission_rejects();
-  }
-  return report;
 }
 
-[[nodiscard]] Report run_splitbft(const Options& options) {
-  SplitClusterOptions copts;
-  copts.config = options.protocol;
-  copts.seed = options.seed;
-  copts.scheme = crypto::Scheme::HmacShared;
-  copts.link_params.min_delay_us = 60;
-  copts.link_params.max_delay_us = 140;
-  SplitbftCluster cluster(
-      copts,
-      splitbft::plain_app([] { return std::make_unique<apps::KvStore>(); }));
-
+void wrap_perf(SplitbftCluster& group, std::size_t workers) {
   const CostProfile profile{};
-  std::vector<std::shared_ptr<SplitPerfActor>> perf;
-  for (ReplicaId r = 0; r < copts.config.n; ++r) {
+  for (ReplicaId r = 0; r < group.config().n; ++r) {
     auto actor = std::make_shared<SplitPerfActor>(
-        cluster.harness(), cluster.replica_actor(r), profile,
-        /*single_ecall_thread=*/false, /*exec_workers=*/options.workers);
-    splitbft::SplitbftReplica* replica = &cluster.replica(r);
+        group.harness(), group.replica_actor(r), profile,
+        /*single_ecall_thread=*/false, /*exec_workers=*/workers);
+    splitbft::SplitbftReplica* replica = &group.replica(r);
     actor->set_auth_stats(Compartment::Preparation, [replica] {
       return replica->prep().auth().stats();
     });
@@ -232,50 +40,200 @@ Report measure(SimHarness& harness, const Options& options,
     actor->set_auth_stats(Compartment::Execution, [replica] {
       return replica->exec().auth().stats();
     });
-    for (const principal::Id id : cluster.replica_principals(r)) {
-      cluster.harness().replace_actor(id, actor);
+    for (const principal::Id id : group.replica_principals(r)) {
+      group.harness().replace_actor(id, actor);
     }
-    perf.push_back(std::move(actor));
   }
-
-  splitbft::SplitClient::TrustAnchors anchors;
-  anchors.attestation_root = cluster.attestation().root_public_key();
-
-  LatencyHistogram hist;
-  using Client = LoadClient<splitbft::SplitClient>;
-  std::vector<std::shared_ptr<Client>> clients;
-  clients.reserve(options.clients);
-  for (std::uint32_t i = 0; i < options.clients; ++i) {
-    const ClientId id = kFirstClientId + i;
-    splitbft::SplitClient engine(copts.config, id, cluster.directory(),
-                                 anchors, options.seed, /*retry=*/4'000'000);
-    // Sessions are provisioned out of band: the paper attests once before
-    // the measured run, and per-client attestation for thousands of
-    // clients would only measure the attestation service.
-    const crypto::Key32 session = session_key(options.seed, id);
-    engine.adopt_session(session);
-    for (ReplicaId r = 0; r < copts.config.n; ++r) {
-      cluster.replica(r).exec_mutable().install_session(id, session);
-    }
-    auto client = std::make_shared<Client>(cluster.harness(),
-                                           std::move(engine), options,
-                                           options.seed * 1'000'003 + i, hist);
-    cluster.harness().add_actor(principal::client(id), client,
-                                /*tick_interval_us=*/500'000);
-    clients.push_back(std::move(client));
-  }
-  Report report = measure(cluster.harness(), options, clients, hist);
-  for (ReplicaId r = 0; r < copts.config.n; ++r) {
-    report.admission_rejects += cluster.replica(r).broker().admission_rejects();
-  }
-  return report;
 }
+
+[[nodiscard]] std::uint64_t admission_rejects(PbftCluster& group) {
+  std::uint64_t total = 0;
+  for (ReplicaId r = 0; r < group.config().n; ++r) {
+    total += group.replica(r).admission_rejects();
+  }
+  return total;
+}
+
+[[nodiscard]] std::uint64_t admission_rejects(SplitbftCluster& group) {
+  std::uint64_t total = 0;
+  for (ReplicaId r = 0; r < group.config().n; ++r) {
+    total += group.replica(r).broker().admission_rejects();
+  }
+  return total;
+}
+
+/// Per-client pacing state; submissions and completions go through the
+/// ShardedCluster's router clients and their result callbacks.
+struct Slot {
+  ClientId id{0};
+  std::unique_ptr<OpGenerator> gen;
+  Rng rng{0};
+  bool measuring{false};
+  bool stopped{false};
+  Micros measured_from{0};
+  std::deque<std::pair<Micros, GeneratedOp>> queued;
+};
+
+template <typename Stack>
+class SimLoad {
+ public:
+  explicit SimLoad(const Options& options) : options_(options) {
+    ShardedClusterOptions copts;
+    copts.shards = std::max<std::uint32_t>(options.shards, 1);
+    copts.config = options.protocol;
+    copts.seed = options.seed;
+    copts.link_params.min_delay_us = 60;
+    copts.link_params.max_delay_us = 140;
+    cluster_ = std::make_unique<ShardedCluster<Stack>>(copts);
+    for (std::uint32_t s = 0; s < cluster_->shards(); ++s) {
+      wrap_perf(cluster_->group(s), options_.workers);
+    }
+  }
+
+  [[nodiscard]] Report run() {
+    add_load_clients();
+    start_staggered();
+    cluster_->run_for(options_.warmup_us);
+    for (auto& slot : slots_) slot->measuring = true;
+    bool sustained = true;
+    std::uint64_t prev = hist_.count();
+    for (int quarter = 0; quarter < 4; ++quarter) {
+      cluster_->run_for(options_.measure_us / 4);
+      const std::uint64_t now_count = hist_.count();
+      if (now_count == prev) sustained = false;
+      prev = now_count;
+    }
+    for (auto& slot : slots_) slot->measuring = false;
+
+    Report report;
+    summarize_into(hist_, options_.measure_us, report);
+    report.sustained = sustained && report.completed_ops > 0;
+    for (const auto& slot : slots_) {
+      add_router_stats(cluster_->router(slot->id), report);
+    }
+    for (std::uint32_t s = 0; s < cluster_->shards(); ++s) {
+      report.admission_rejects += admission_rejects(cluster_->group(s));
+    }
+    if (options_.cross_shard_fraction > 0 && options_.multi_keys >= 2) {
+      audit_atomicity(report);
+    }
+    return report;
+  }
+
+ private:
+  void submit(Slot& slot, GeneratedOp op, Micros measured_from) {
+    slot.measured_from = measured_from;
+    cluster_->submit(slot.id, std::move(op.op), op.read_only);
+  }
+
+  void on_complete(const std::shared_ptr<Slot>& slot, Micros now) {
+    if (slot->measuring) hist_.record(now - slot->measured_from);
+    if (slot->stopped) return;
+    if (options_.mode == LoadMode::Open) {
+      if (!slot->queued.empty()) {
+        auto [arrived, op] = std::move(slot->queued.front());
+        slot->queued.pop_front();
+        // Open loop measures from ARRIVAL: queueing delay stays visible.
+        submit(*slot, std::move(op), arrived);
+      }
+      return;
+    }
+    const Micros think = exponential_us(slot->rng, options_.think_time_us);
+    if (think == 0) {
+      submit(*slot, slot->gen->next(), now);
+      return;
+    }
+    cluster_->scheduler().after(think, [this, slot] {
+      if (slot->stopped) return;
+      const Micros t = cluster_->now();
+      submit(*slot, slot->gen->next(), t);
+    });
+  }
+
+  void schedule_arrival(const std::shared_ptr<Slot>& slot) {
+    const Micros gap = std::max<Micros>(
+        1, exponential_us(slot->rng, options_.interarrival_us));
+    cluster_->scheduler().after(gap, [this, slot] {
+      if (slot->stopped) return;
+      const Micros t = cluster_->now();
+      if (!cluster_->router(slot->id).in_flight()) {
+        submit(*slot, slot->gen->next(), t);
+      } else if (slot->queued.size() < kMaxQueued) {
+        slot->queued.emplace_back(t, slot->gen->next());
+      }
+      // else: shed load (open-loop back-pressure)
+      schedule_arrival(slot);
+    });
+  }
+
+  void add_load_clients() {
+    slots_.reserve(options_.clients);
+    for (std::uint32_t i = 0; i < options_.clients; ++i) {
+      auto slot = std::make_shared<Slot>();
+      slot->id = kFirstClientId + i;
+      slot->gen = std::make_unique<OpGenerator>(
+          options_, options_.seed * 1'000'003 + i);
+      slot->rng = Rng((options_.seed * 1'000'003 + i) ^ 0x10adc11e47ULL);
+      cluster_->add_client(slot->id, /*retry_us=*/4'000'000,
+                           [this, slot](Bytes, Micros now) {
+                             on_complete(slot, now);
+                           });
+      slots_.push_back(std::move(slot));
+    }
+  }
+
+  void start_staggered() {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      auto slot = slots_[i];
+      cluster_->scheduler().at(
+          cluster_->now() + static_cast<Micros>(i * 13 + 1), [this, slot] {
+            if (options_.mode == LoadMode::Open) {
+              schedule_arrival(slot);
+            } else {
+              submit(*slot, slot->gen->next(), cluster_->now());
+            }
+          });
+    }
+  }
+
+  /// Stops the load, drains in-flight transactions, and reads back every
+  /// multi-op key group through the protocol.
+  void audit_atomicity(Report& report) {
+    for (auto& slot : slots_) slot->stopped = true;
+    (void)cluster_->run_until(
+        [&] {
+          for (const auto& slot : slots_) {
+            if (cluster_->router(slot->id).in_flight()) return false;
+          }
+          return true;
+        },
+        30'000'000);
+
+    const ClientId verifier = kFirstClientId + options_.clients;
+    cluster_->add_client(verifier, /*retry_us=*/4'000'000);
+    audit_groups(
+        options_,
+        [&](Bytes op) { return cluster_->execute(verifier, std::move(op)); },
+        report.sharding);
+  }
+
+  static constexpr std::size_t kMaxQueued = 256;
+
+  Options options_;
+  std::unique_ptr<ShardedCluster<Stack>> cluster_;
+  std::vector<std::shared_ptr<Slot>> slots_;
+  LatencyHistogram hist_;
+};
 
 }  // namespace
 
 Report run_sim_workload(const Options& options) {
-  return options.stack == Stack::Pbft ? run_pbft(options)
-                                      : run_splitbft(options);
+  if (options.stack == Stack::Pbft) {
+    SimLoad<PbftShardStack> load(options);
+    return load.run();
+  }
+  SimLoad<SplitbftShardStack> load(options);
+  return load.run();
 }
 
 }  // namespace sbft::runtime::workload

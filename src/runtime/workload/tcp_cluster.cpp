@@ -1,22 +1,16 @@
 #include "runtime/workload/tcp_cluster.hpp"
 
 #include <chrono>
-#include <deque>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "apps/kv_store.hpp"
 #include "common/rng.hpp"
 #include "crypto/keyring.hpp"
 #include "crypto/x25519.hpp"
-#include "pbft/client.hpp"
 #include "pbft/replica.hpp"
 #include "runtime/runner/runner.hpp"
 #include "runtime/workload/station.hpp"
 #include "shard/router.hpp"
-#include "splitbft/client.hpp"
 #include "splitbft/replica.hpp"
 #include "tee/attestation.hpp"
 #include "tee/sealing.hpp"
@@ -25,10 +19,8 @@ namespace sbft::runtime::workload {
 
 namespace {
 
-// Key-derivation offsets shared with the threaded driver: every process of
-// a deployment reconstructs the SAME keyring/attestation/group-key material
-// from the workload seed, replacing the in-process sharing the thread
-// driver gets for free.
+// Key-derivation offsets: every process of a deployment reconstructs the
+// SAME keyring/attestation/group-key material from the workload seed.
 constexpr std::uint64_t kPbftKeyringSalt = 0x6b657972696e67ULL;
 constexpr std::uint64_t kSplitKeyringSalt = 0x5b5f7b657972ULL;
 constexpr std::uint64_t kAttestationSalt = 0xa77e57ULL;
@@ -83,54 +75,33 @@ std::unique_ptr<net::TcpTransport> ClusterTopology::make_transport(
   return transport;
 }
 
-// ------------------------------------------------------------ ReplicaNode
+// ---------------------------------------------------------- SeededReplica
 
-struct ReplicaNode::Impl {
-  std::mutex mutex;
-  std::unique_ptr<pbft::Replica> pbft;
-  std::shared_ptr<splitbft::SplitbftReplica> split;
-
-  [[nodiscard]] std::vector<net::Envelope> handle(const net::Envelope& env,
-                                                  Micros now) {
-    const std::scoped_lock lock(mutex);
-    return pbft ? pbft->handle(env, now) : split->handle(env, now);
-  }
-  [[nodiscard]] std::vector<net::Envelope> tick(Micros now) {
-    const std::scoped_lock lock(mutex);
-    return pbft ? pbft->tick(now) : split->tick(now);
-  }
-};
-
-ReplicaNode::ReplicaNode(const Options& options,
-                         const ClusterTopology& topology, ReplicaId replica,
-                         net::TcpTransport::Options transport_options)
-    : options_(options),
-      topology_(topology),
-      replica_(replica),
-      transport_(topology.make_transport(replica, std::move(transport_options))),
-      impl_(std::make_unique<Impl>()) {
-  const pbft::Config config = options_.protocol;
+SeededReplica::SeededReplica(const Options& options, ReplicaId replica,
+                             std::uint32_t loadgens)
+    : replica_(replica) {
+  const pbft::Config config = options.protocol;
   const pbft::ClientDirectory directory(kDirectorySeed);
 
-  if (options_.stack == Stack::Pbft) {
+  if (options.stack == Stack::Pbft) {
     crypto::KeyRing keyring(crypto::Scheme::HmacShared,
-                            options_.seed ^ kPbftKeyringSalt);
+                            options.seed ^ kPbftKeyringSalt);
     for (ReplicaId r = 0; r < config.n; ++r) {
       keyring.add_principal(principal::pbft_replica(r));
     }
-    impl_->pbft = std::make_unique<pbft::Replica>(
+    pbft_ = std::make_unique<pbft::Replica>(
         config, replica_, keyring.signer(principal::pbft_replica(replica_)),
         keyring.verifier(), directory,
         [] { return std::make_unique<apps::KvStore>(); },
-        /*auth=*/nullptr, runner::make_runner(options_.workers));
+        /*auth=*/nullptr, runner::make_runner(options.workers));
     return;
   }
 
   crypto::KeyRing keyring(crypto::Scheme::HmacShared,
-                          options_.seed ^ kSplitKeyringSalt);
-  tee::AttestationService attestation(options_.seed ^ kAttestationSalt);
-  tee::SealingService sealing(options_.seed ^ kSealingSalt);
-  Rng rng(options_.seed ^ kClusterRngSalt);
+                          options.seed ^ kSplitKeyringSalt);
+  tee::AttestationService attestation(options.seed ^ kAttestationSalt);
+  tee::SealingService sealing(options.seed ^ kSealingSalt);
+  Rng rng(options.seed ^ kClusterRngSalt);
   crypto::Key32 exec_group_key;
   for (auto& b : exec_group_key) b = static_cast<std::uint8_t>(rng.next_u64());
 
@@ -144,53 +115,111 @@ ReplicaNode::ReplicaNode(const Options& options,
 
   splitbft::ReplicaOptions replica_options;
   replica_options.config = config;
+  // Simulation-mode cost model: a wall-clock run measures the software
+  // stack itself; burning synthetic SGX crossing delays as real CPU time
+  // would only measure the cost model.
   replica_options.cost_model = tee::CostModel::simulation();
   replica_options.charge_real_time = false;
-  replica_options.exec_workers = options_.workers;
+  replica_options.exec_workers = options.workers;
 
-  // The thread driver draws every replica's DH key from ONE rng stream;
-  // replay that stream so replica r's key is identical in every process.
+  // Every replica's DH key comes from ONE rng stream; replay that stream
+  // so replica r's key is identical in every process.
   crypto::Key32 dh_secret{};
   for (ReplicaId r = 0; r <= replica_; ++r) {
     dh_secret = crypto::x25519_keygen(rng);
   }
-  impl_->split = std::make_shared<splitbft::SplitbftReplica>(
+  split_ = std::make_shared<splitbft::SplitbftReplica>(
       replica_options, replica_, keyring, attestation, sealing, exec_group_key,
       dh_secret,
       splitbft::plain_app([] { return std::make_unique<apps::KvStore>(); }));
 
-  // Out-of-band session provisioning (see workload::session_key): install
-  // every expected client's key, mirroring the in-process drivers. The
-  // extra ids past `clients` cover the per-loadgen audit verifiers a
-  // sharded run appends after the load stops.
-  for (std::uint32_t i = 0; i < options_.clients + 2 * topology_.loadgens;
-       ++i) {
+  // Out-of-band session provisioning (see workload::session_key). The
+  // extra ids past `clients` cover the per-loadgen audit verifiers a run
+  // appends after the load stops.
+  for (std::uint32_t i = 0; i < options.clients + 2 * loadgens; ++i) {
     const ClientId id = kFirstClientId + i;
-    impl_->split->exec_mutable().install_session(
-        id, session_key(options_.seed, id));
+    split_->exec_mutable().install_session(id, session_key(options.seed, id));
   }
 }
+
+SeededReplica::~SeededReplica() = default;
+
+std::vector<net::Envelope> SeededReplica::handle(const net::Envelope& env,
+                                                 Micros now) {
+  const std::scoped_lock lock(mutex_);
+  return pbft_ ? pbft_->handle(env, now) : split_->handle(env, now);
+}
+
+std::vector<net::Envelope> SeededReplica::tick(Micros now) {
+  const std::scoped_lock lock(mutex_);
+  return pbft_ ? pbft_->tick(now) : split_->tick(now);
+}
+
+std::vector<principal::Id> SeededReplica::principals() const {
+  if (pbft_) return {principal::pbft_replica(replica_)};
+  return {principal::splitbft_env(replica_),
+          principal::enclave({replica_, Compartment::Preparation}),
+          principal::enclave({replica_, Compartment::Confirmation}),
+          principal::enclave({replica_, Compartment::Execution})};
+}
+
+std::uint64_t SeededReplica::admission_rejects() const {
+  const std::scoped_lock lock(mutex_);
+  return pbft_ ? pbft_->admission_rejects()
+               : split_->broker().admission_rejects();
+}
+
+SeqNum SeededReplica::last_executed() const {
+  const std::scoped_lock lock(mutex_);
+  return pbft_ ? pbft_->last_executed() : split_->exec().last_executed();
+}
+
+SeqNum SeededReplica::last_stable() const {
+  const std::scoped_lock lock(mutex_);
+  return pbft_ ? pbft_->last_stable() : split_->exec().last_stable();
+}
+
+bool SeededReplica::awaiting_state() const {
+  const std::scoped_lock lock(mutex_);
+  return pbft_ ? pbft_->awaiting_state() : split_->exec().awaiting_state();
+}
+
+pbft::StateTransferStats SeededReplica::state_transfer_stats() const {
+  const std::scoped_lock lock(mutex_);
+  return pbft_ ? pbft_->state_transfer_stats()
+               : split_->exec().state_transfer_stats();
+}
+
+// ---------------------------------------------------------- SeededClients
+
+SeededClients::SeededClients(const Options& options, std::uint32_t groups)
+    : config_(options.protocol), directory_(kDirectorySeed) {
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    seeds_.push_back(shard_options(options, g).seed);
+    tee::AttestationService attestation(seeds_[g] ^ kAttestationSalt);
+    anchors_.push_back({attestation.root_public_key()});
+  }
+}
+
+// ------------------------------------------------------------ ReplicaNode
+
+ReplicaNode::ReplicaNode(const Options& options,
+                         const ClusterTopology& topology, ReplicaId replica,
+                         net::TcpTransport::Options transport_options)
+    : SeededReplica(options, replica, topology.loadgens),
+      transport_(
+          topology.make_transport(replica, std::move(transport_options))) {}
 
 ReplicaNode::~ReplicaNode() { stop(); }
 
 bool ReplicaNode::start() {
   if (running_.exchange(true)) return true;
-  Impl* impl = impl_.get();
-  net::TcpTransport* transport = transport_.get();
-  const auto handler = [impl, transport](net::Envelope env) {
-    auto outs = impl->handle(env, wall_clock_us());
-    for (auto& out : outs) transport->send(std::move(out));
-  };
-  if (options_.stack == Stack::Pbft) {
-    transport_->register_endpoint(principal::pbft_replica(replica_), handler);
-  } else {
-    transport_->register_endpoint_group(
-        {principal::splitbft_env(replica_),
-         principal::enclave({replica_, Compartment::Preparation}),
-         principal::enclave({replica_, Compartment::Confirmation}),
-         principal::enclave({replica_, Compartment::Execution})},
-        handler);
-  }
+  transport_->register_endpoint_group(
+      principals(), [this](net::Envelope env) {
+        for (auto& out : handle(env, wall_clock_us())) {
+          transport_->send(std::move(out));
+        }
+      });
   if (!transport_->start()) {
     running_.store(false);
     return false;
@@ -201,8 +230,7 @@ bool ReplicaNode::start() {
 
 void ReplicaNode::ticker_main() {
   while (running_.load(std::memory_order_relaxed)) {
-    auto outs = impl_->tick(wall_clock_us());
-    for (auto& out : outs) transport_->send(std::move(out));
+    for (auto& out : tick(wall_clock_us())) transport_->send(std::move(out));
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
 }
@@ -213,118 +241,7 @@ void ReplicaNode::stop() {
   transport_->shutdown();
 }
 
-std::uint64_t ReplicaNode::admission_rejects() const {
-  const std::scoped_lock lock(impl_->mutex);
-  return impl_->pbft ? impl_->pbft->admission_rejects()
-                     : impl_->split->broker().admission_rejects();
-}
-
-SeqNum ReplicaNode::last_executed() const {
-  const std::scoped_lock lock(impl_->mutex);
-  return impl_->pbft ? impl_->pbft->last_executed()
-                     : impl_->split->exec().last_executed();
-}
-
-SeqNum ReplicaNode::last_stable() const {
-  const std::scoped_lock lock(impl_->mutex);
-  return impl_->pbft ? impl_->pbft->last_stable()
-                     : impl_->split->exec().last_stable();
-}
-
-bool ReplicaNode::awaiting_state() const {
-  const std::scoped_lock lock(impl_->mutex);
-  return impl_->pbft ? impl_->pbft->awaiting_state()
-                     : impl_->split->exec().awaiting_state();
-}
-
-pbft::StateTransferStats ReplicaNode::state_transfer_stats() const {
-  const std::scoped_lock lock(impl_->mutex);
-  return impl_->pbft ? impl_->pbft->state_transfer_stats()
-                     : impl_->split->exec().state_transfer_stats();
-}
-
-// -------------------------------------------------------------- loadgen
-
-namespace {
-
-template <typename Engine, typename MakeEngine>
-Report run_loadgen(const Options& options, const ClusterTopology& topology,
-                   net::TcpTransport& transport, std::uint32_t loadgen_index,
-                   MakeEngine&& make_engine) {
-  LatencyHistogram hist;
-  std::atomic<bool> measuring{false};
-
-  using S = Station<Engine, net::TcpTransport>;
-  std::vector<std::unique_ptr<S>> stations;
-  const std::size_t n_stations = station_count(options);
-  for (std::size_t s = 0; s < n_stations; ++s) {
-    stations.push_back(
-        std::make_unique<S>(options, transport, hist, measuring));
-  }
-  std::size_t local = 0;
-  for (std::uint32_t i = 0; i < options.clients; ++i) {
-    if (i % topology.loadgens != loadgen_index) continue;
-    const ClientId id = kFirstClientId + i;
-    stations[local++ % n_stations]->add_client(id, make_engine(id));
-  }
-
-  // Replica timers live in the replica processes: the loadgen ticker only
-  // paces clients.
-  Report report = drive<Engine, net::TcpTransport>(
-      options, transport, stations, hist, measuring, [](Micros) {});
-
-  const net::TransportStats stats = transport.stats();
-  report.transport.bytes_in = stats.bytes_in;
-  report.transport.bytes_out = stats.bytes_out;
-  report.transport.frames_in = stats.frames_in;
-  report.transport.frames_out = stats.frames_out;
-  report.transport.writev_calls = stats.writev_calls;
-  report.transport.frames_per_writev = stats.frames_per_writev();
-  report.transport.reconnects = stats.reconnects;
-  report.transport.backpressure_drops = stats.backpressure_drops;
-  report.transport.state_frames_in = stats.state_frames_in;
-  report.transport.state_frames_out = stats.state_frames_out;
-  report.transport.state_bytes_in = stats.state_bytes_in;
-  report.transport.state_bytes_out = stats.state_bytes_out;
-  return report;
-}
-
-}  // namespace
-
-Report run_tcp_workload(const Options& options,
-                        const ClusterTopology& topology,
-                        std::uint32_t loadgen_index,
-                        net::TcpTransport::Options transport_options) {
-  auto transport = topology.make_transport(topology.replicas + loadgen_index,
-                                           std::move(transport_options));
-  if (!transport->start()) {
-    Report report;  // bind failure: report an unsustained zero run
-    return report;
-  }
-
-  const pbft::ClientDirectory directory(kDirectorySeed);
-  const pbft::Config config = options.protocol;
-
-  if (options.stack == Stack::Pbft) {
-    return run_loadgen<pbft::Client>(
-        options, topology, *transport, loadgen_index, [&](ClientId id) {
-          return pbft::Client(config, id, directory, /*retry=*/2'000'000);
-        });
-  }
-
-  tee::AttestationService attestation(options.seed ^ kAttestationSalt);
-  splitbft::SplitClient::TrustAnchors anchors;
-  anchors.attestation_root = attestation.root_public_key();
-  return run_loadgen<splitbft::SplitClient>(
-      options, topology, *transport, loadgen_index, [&](ClientId id) {
-        splitbft::SplitClient engine(config, id, directory, anchors,
-                                     options.seed, /*retry=*/2'000'000);
-        engine.adopt_session(session_key(options.seed, id));
-        return engine;
-      });
-}
-
-// ------------------------------------------------------------- sharding
+// -------------------------------------------------------------- sharding
 
 std::vector<ClusterTopology> sharded_topologies(
     std::uint32_t shards, std::uint32_t replicas, std::uint32_t loadgens,
@@ -345,9 +262,11 @@ std::vector<ClusterTopology> sharded_topologies(
 }
 
 Options shard_options(Options options, std::uint32_t shard) {
-  options.seed = shard::shard_seed(options.seed, shard);
+  if (options.shards > 1) options.seed = shard::shard_seed(options.seed, shard);
   return options;
 }
+
+// -------------------------------------------------------------- loadgen
 
 namespace {
 
@@ -362,374 +281,65 @@ namespace {
   return kFirstClientId + span + loadgen_index;
 }
 
-/// The sharded counterpart of `Station`: clients are `shard::Router`s,
-/// and every outbound envelope carries the shard whose transport must
-/// send it. Replies arrive on the per-shard transports' consumer
-/// threads, timers from the ticker thread; the station mutex serializes
-/// both (transport send mutexes are leaves, so sending under it is
-/// deadlock-free).
 template <typename Engine>
-class ShardedStation {
- public:
-  ShardedStation(const Options& options,
-                 std::vector<std::unique_ptr<net::TcpTransport>>& nets,
-                 LatencyHistogram& hist, const std::atomic<bool>& measuring)
-      : options_(options), nets_(nets), hist_(hist), measuring_(measuring) {}
-
-  void add_client(ClientId id,
-                  std::vector<std::unique_ptr<Engine>> engines) {
-    shard::RouterOptions router_options;
-    router_options.shards = static_cast<std::uint32_t>(engines.size());
-    clients_.emplace(id,
-                     Client(std::move(engines), router_options, options_,
-                            options_.seed * 1'000'003 + id));
-  }
-
-  [[nodiscard]] std::vector<principal::Id> principals() const {
-    std::vector<principal::Id> ids;
-    ids.reserve(clients_.size());
-    for (const auto& [id, client] : clients_) {
-      ids.push_back(principal::client(id));
-    }
-    return ids;
-  }
-
-  void start(Micros now) {
-    const std::scoped_lock lock(mutex_);
-    for (auto& [id, c] : clients_) {
-      if (options_.mode == LoadMode::Open) {
-        c.due_at = now + std::max<Micros>(
-                             1, exponential_us(c.rng, options_.interarrival_us));
-      } else {
-        submit(c, c.gen.next(), now, now);
-      }
-    }
-  }
-
-  void deliver(std::uint32_t shard, net::Envelope env) {
-    if (env.type != pbft::tag(pbft::MsgType::Reply) &&
-        env.type != pbft::tag(pbft::MsgType::ReadReply)) {
-      return;
-    }
-    const Micros now = wall_clock_us();
-    const auto target = static_cast<ClientId>(env.dst);
-    const std::scoped_lock lock(mutex_);
-    const auto it = clients_.find(target);
-    if (it == clients_.end()) return;
-    auto& c = it->second;
-    std::vector<shard::Routed> outs;
-    // `outs` carries fast-read fallbacks and 2PC phase transitions.
-    if (c.router.on_reply(shard, env, now, outs)) completed(c, now);
-    send(std::move(outs));
-  }
-
-  /// Ticker entry: due submissions, open-loop arrivals, engine retries.
-  void tick(Micros now) {
-    const std::scoped_lock lock(mutex_);
-    for (auto& [id, c] : clients_) {
-      if (!stopped_) {
-        if (options_.mode == LoadMode::Open) {
-          while (c.due_at != 0 && now >= c.due_at) {
-            on_arrival(c, c.due_at);
-            c.due_at += std::max<Micros>(
-                1, exponential_us(c.rng, options_.interarrival_us));
-          }
-        } else if (c.due_at != 0 && now >= c.due_at) {
-          c.due_at = 0;
-          submit(c, c.gen.next(), now, now);
-        }
-      }
-      send(c.router.tick(now));
-    }
-  }
-
-  /// Stops new submissions; in-flight transactions keep draining on the
-  /// replies and retries above.
-  void stop_load() {
-    const std::scoped_lock lock(mutex_);
-    stopped_ = true;
-  }
-
-  [[nodiscard]] bool all_idle() {
-    const std::scoped_lock lock(mutex_);
-    for (const auto& [id, c] : clients_) {
-      if (c.router.in_flight()) return false;
-    }
-    return true;
-  }
-
-  void accumulate_stats(Report& report) {
-    const std::scoped_lock lock(mutex_);
-    for (const auto& [id, c] : clients_) {
-      report.fast_reads += c.router.fast_reads();
-      report.read_fallbacks += c.router.read_fallbacks();
-      const shard::RouterStats& s = c.router.stats();
-      report.sharding.multi_ops += s.multi_ops;
-      report.sharding.single_shard_multi += s.single_shard_multi;
-      report.sharding.cross_shard_tx += s.cross_shard_tx;
-      report.sharding.tx_commits += s.tx_commits;
-      report.sharding.tx_aborts +=
-          s.tx_aborts_vote + s.tx_aborts_busy + s.tx_aborts_expired;
-      report.sharding.busy_retries += s.busy_retries;
-    }
-  }
-
- private:
-  static constexpr std::size_t kMaxQueued = 256;
-
-  struct Client {
-    Client(std::vector<std::unique_ptr<Engine>> engines,
-           shard::RouterOptions router_options, const Options& options,
-           std::uint64_t seed)
-        : router(std::move(engines), router_options),
-          gen(options, seed),
-          rng(seed ^ 0x10adc11e47ULL) {}
-
-    shard::Router<Engine> router;
-    OpGenerator gen;
-    Rng rng;
-    Micros inflight_from{0};
-    Micros due_at{0};
-    std::deque<std::pair<Micros, GeneratedOp>> queued;
-  };
-
-  void send(std::vector<shard::Routed> outs) {
-    for (auto& r : outs) nets_[r.shard]->send(std::move(r.env));
-  }
-
-  void submit(Client& c, GeneratedOp op, Micros measured_from, Micros now) {
-    c.inflight_from = measured_from;
-    send(c.router.submit(std::move(op.op), now, op.read_only));
-  }
-
-  void completed(Client& c, Micros now) {
-    if (measuring_.load(std::memory_order_relaxed)) {
-      hist_.record(now - c.inflight_from);
-    }
-    if (stopped_) return;
-    if (options_.mode == LoadMode::Open) {
-      if (!c.queued.empty()) {
-        auto [arrived, op] = std::move(c.queued.front());
-        c.queued.pop_front();
-        submit(c, std::move(op), arrived, now);
-      }
-      return;
-    }
-    const Micros think = exponential_us(c.rng, options_.think_time_us);
-    if (think == 0) {
-      submit(c, c.gen.next(), now, now);
-    } else {
-      c.due_at = now + think;
-    }
-  }
-
-  void on_arrival(Client& c, Micros arrived) {
-    if (!c.router.in_flight()) {
-      submit(c, c.gen.next(), arrived, wall_clock_us());
-    } else if (c.queued.size() < kMaxQueued) {
-      c.queued.emplace_back(arrived, c.gen.next());
-    }
-    // else: shed load (open-loop back-pressure)
-  }
-
-  const Options& options_;
-  std::vector<std::unique_ptr<net::TcpTransport>>& nets_;
-  LatencyHistogram& hist_;
-  const std::atomic<bool>& measuring_;
-  std::mutex mutex_;
-  bool stopped_{false};
-  std::unordered_map<ClientId, Client> clients_;
-};
-
-/// Blocking one-op-at-a-time router client for the post-run audit: reads
-/// go through the ordered path (not the fast path), paced by its own
-/// retry ticks.
-template <typename Engine>
-class SyncRouterClient {
- public:
-  SyncRouterClient(std::vector<std::unique_ptr<Engine>> engines,
-                   std::vector<std::unique_ptr<net::TcpTransport>>& nets)
-      : nets_(nets), router_(make_router(std::move(engines))) {
-    for (std::uint32_t shard = 0;
-         shard < static_cast<std::uint32_t>(nets_.size()); ++shard) {
-      nets_[shard]->register_endpoint_group(
-          {principal::client(router_.id())},
-          [this, shard](net::Envelope env) { on_env(shard, std::move(env)); });
-    }
-  }
-
-  [[nodiscard]] std::optional<Bytes> execute(Bytes op) {
-    {
-      const std::scoped_lock lock(mutex_);
-      if (router_.in_flight()) return std::nullopt;  // wedged earlier op
-      result_.reset();
-      send(router_.submit(std::move(op), wall_clock_us()));
-    }
-    const Micros deadline = wall_clock_us() + 10'000'000;
-    while (wall_clock_us() < deadline) {
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-      const std::scoped_lock lock(mutex_);
-      if (result_) return std::move(result_);
-      send(router_.tick(wall_clock_us()));
-    }
-    return std::nullopt;
-  }
-
- private:
-  [[nodiscard]] static shard::Router<Engine> make_router(
-      std::vector<std::unique_ptr<Engine>> engines) {
-    shard::RouterOptions router_options;
-    router_options.shards = static_cast<std::uint32_t>(engines.size());
-    return shard::Router<Engine>(std::move(engines), router_options);
-  }
-
-  void on_env(std::uint32_t shard, net::Envelope env) {
-    if (env.type != pbft::tag(pbft::MsgType::Reply) &&
-        env.type != pbft::tag(pbft::MsgType::ReadReply)) {
-      return;
-    }
-    const Micros now = wall_clock_us();
-    const std::scoped_lock lock(mutex_);
-    std::vector<shard::Routed> outs;
-    if (auto result = router_.on_reply(shard, env, now, outs)) {
-      result_ = std::move(result);
-    }
-    send(std::move(outs));
-  }
-
-  void send(std::vector<shard::Routed> outs) {
-    for (auto& r : outs) nets_[r.shard]->send(std::move(r.env));
-  }
-
-  std::vector<std::unique_ptr<net::TcpTransport>>& nets_;
-  shard::Router<Engine> router_;
-  std::mutex mutex_;
-  std::optional<Bytes> result_;
-};
-
-template <typename Engine, typename MakeEngines>
-Report run_sharded_loadgen(const Options& options,
-                           std::vector<std::unique_ptr<net::TcpTransport>>& nets,
-                           std::uint32_t loadgens, std::uint32_t loadgen_index,
-                           MakeEngines&& make_engines) {
-  LatencyHistogram hist;
-  std::atomic<bool> measuring{false};
-
-  using S = ShardedStation<Engine>;
-  std::vector<std::unique_ptr<S>> stations;
-  const std::size_t n_stations = station_count(options);
-  for (std::size_t s = 0; s < n_stations; ++s) {
-    stations.push_back(std::make_unique<S>(options, nets, hist, measuring));
-  }
-  std::size_t local = 0;
+Report run_loadgen(const Options& options, std::uint32_t loadgens,
+                   std::uint32_t loadgen_index,
+                   const std::vector<net::TcpTransport*>& nets) {
+  const SeededClients seeded(options,
+                             static_cast<std::uint32_t>(nets.size()));
+  std::vector<ClientId> clients;
   for (std::uint32_t i = 0; i < options.clients; ++i) {
-    if (i % loadgens != loadgen_index) continue;
-    const ClientId id = kFirstClientId + i;
-    stations[local++ % n_stations]->add_client(id, make_engines(id));
+    if (i % loadgens == loadgen_index) clients.push_back(kFirstClientId + i);
   }
-  // Destroyed after the transports shut down (handlers reference it).
-  std::unique_ptr<SyncRouterClient<Engine>> verifier;
+  // Replica timers live in the replica processes: the loadgen ticker only
+  // paces clients.
+  return drive<Engine>(
+      options, nets, clients,
+      audit_verifier_id(options, loadgens, loadgen_index),
+      [&](ClientId id) { return seeded.engines<Engine>(id); }, [](Micros) {});
+}
 
-  for (auto& station : stations) {
-    S* s = station.get();
-    for (std::uint32_t shard = 0;
-         shard < static_cast<std::uint32_t>(nets.size()); ++shard) {
-      nets[shard]->register_endpoint_group(
-          s->principals(), [s, shard](net::Envelope env) {
-            s->deliver(shard, std::move(env));
-          });
-    }
+}  // namespace
+
+Report run_tcp_workload(const Options& options,
+                        const std::vector<ClusterTopology>& topologies,
+                        std::uint32_t loadgen_index,
+                        net::TcpTransport::Options transport_options) {
+  if (topologies.empty() || topologies.size() != options.shards) {
+    return Report{};  // not one topology per group: an unsustained zero run
   }
-
-  // Replica timers live in the replica processes; this ticker only paces
-  // clients (all shards, every station).
-  std::atomic<bool> quit{false};
-  std::thread ticker([&] {
-    while (!quit.load(std::memory_order_relaxed)) {
-      const Micros now = wall_clock_us();
-      for (auto& station : stations) station->tick(now);
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
+  std::vector<std::unique_ptr<net::TcpTransport>> owned;
+  std::vector<net::TcpTransport*> nets;
+  for (const auto& topology : topologies) {
+    owned.push_back(topology.make_transport(topology.replicas + loadgen_index,
+                                            transport_options));
+    if (!owned.back()->start()) {
+      for (net::TcpTransport* net : nets) net->shutdown();
+      return Report{};  // bind failure: report an unsustained zero run
     }
-  });
-
-  const Micros start = wall_clock_us();
-  for (auto& station : stations) station->start(start);
-  std::this_thread::sleep_for(std::chrono::microseconds(options.warmup_us));
-
-  measuring.store(true);
-  bool sustained = true;
-  std::uint64_t prev = hist.count();
-  for (int quarter = 0; quarter < 4; ++quarter) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options.measure_us / 4));
-    const std::uint64_t count = hist.count();
-    if (count == prev) sustained = false;
-    prev = count;
-  }
-  measuring.store(false);
-
-  Report report;
-  summarize_into(hist, options.measure_us, report);
-  report.sustained = sustained && report.completed_ops > 0;
-
-  if (options.cross_shard_fraction > 0 && options.multi_keys >= 2) {
-    // Quiesce, then the same torn-write audit as the sim driver, over
-    // real sockets: all keys of a group were only ever written together
-    // with one value, so any disagreement is a torn transaction. The
-    // ticker stays alive so in-flight transactions drain on retries.
-    for (auto& station : stations) station->stop_load();
-    const Micros drain_deadline = wall_clock_us() + 15'000'000;
-    while (wall_clock_us() < drain_deadline) {
-      bool idle = true;
-      for (auto& station : stations) idle = idle && station->all_idle();
-      if (idle) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    const ClientId id = audit_verifier_id(options, loadgens, loadgen_index);
-    verifier =
-        std::make_unique<SyncRouterClient<Engine>>(make_engines(id), nets);
-    for (std::uint64_t g = 0; g < options.multi_groups; ++g) {
-      bool first = true;
-      bool torn = false;
-      Bytes reference;
-      for (const auto& key : group_keys(options, g)) {
-        const auto result = verifier->execute(apps::kv::encode_get(key));
-        if (!result) {
-          torn = true;  // an unreadable key fails loudly, not silently
-          break;
-        }
-        // Compare full replies so NotFound vs an empty value differ.
-        if (first) {
-          reference = *result;
-          first = false;
-        } else if (*result != reference) {
-          torn = true;
-          break;
-        }
-      }
-      ++report.sharding.groups_checked;
-      if (torn) ++report.sharding.torn_groups;
-    }
+    nets.push_back(owned.back().get());
   }
 
-  quit.store(true);
-  ticker.join();
-  for (auto& net : nets) net->shutdown();
-
-  for (auto& station : stations) station->accumulate_stats(report);
-  for (auto& net : nets) {
+  const std::uint32_t loadgens = topologies.front().loadgens;
+  Report report =
+      options.stack == Stack::Pbft
+          ? run_loadgen<pbft::Client>(options, loadgens, loadgen_index, nets)
+          : run_loadgen<splitbft::SplitClient>(options, loadgens,
+                                               loadgen_index, nets);
+  for (net::TcpTransport* net : nets) {
     const net::TransportStats stats = net->stats();
-    report.transport.bytes_in += stats.bytes_in;
-    report.transport.bytes_out += stats.bytes_out;
-    report.transport.frames_in += stats.frames_in;
-    report.transport.frames_out += stats.frames_out;
-    report.transport.writev_calls += stats.writev_calls;
-    report.transport.reconnects += stats.reconnects;
-    report.transport.backpressure_drops += stats.backpressure_drops;
-    report.transport.state_frames_in += stats.state_frames_in;
-    report.transport.state_frames_out += stats.state_frames_out;
-    report.transport.state_bytes_in += stats.state_bytes_in;
-    report.transport.state_bytes_out += stats.state_bytes_out;
+    auto& t = report.transport;
+    t.bytes_in += stats.bytes_in;
+    t.bytes_out += stats.bytes_out;
+    t.frames_in += stats.frames_in;
+    t.frames_out += stats.frames_out;
+    t.writev_calls += stats.writev_calls;
+    t.reconnects += stats.reconnects;
+    t.backpressure_drops += stats.backpressure_drops;
+    t.state_frames_in += stats.state_frames_in;
+    t.state_frames_out += stats.state_frames_out;
+    t.state_bytes_in += stats.state_bytes_in;
+    t.state_bytes_out += stats.state_bytes_out;
   }
   report.transport.frames_per_writev =
       report.transport.writev_calls
@@ -737,64 +347,6 @@ Report run_sharded_loadgen(const Options& options,
                 static_cast<double>(report.transport.writev_calls)
           : 0.0;
   return report;
-}
-
-}  // namespace
-
-Report run_sharded_tcp_workload(const Options& options,
-                                const std::vector<ClusterTopology>& topologies,
-                                std::uint32_t loadgen_index,
-                                net::TcpTransport::Options transport_options) {
-  std::vector<std::unique_ptr<net::TcpTransport>> nets;
-  nets.reserve(topologies.size());
-  for (const auto& topology : topologies) {
-    auto net = topology.make_transport(topology.replicas + loadgen_index,
-                                       transport_options);
-    if (!net->start()) {
-      for (auto& up : nets) up->shutdown();
-      return Report{};  // bind failure: report an unsustained zero run
-    }
-    nets.push_back(std::move(net));
-  }
-
-  const pbft::ClientDirectory directory(kDirectorySeed);
-  const pbft::Config config = options.protocol;
-  const std::uint32_t loadgens = topologies.front().loadgens;
-  const auto shards = static_cast<std::uint32_t>(topologies.size());
-
-  if (options.stack == Stack::Pbft) {
-    return run_sharded_loadgen<pbft::Client>(
-        options, nets, loadgens, loadgen_index, [&](ClientId id) {
-          std::vector<std::unique_ptr<pbft::Client>> engines;
-          for (std::uint32_t s = 0; s < shards; ++s) {
-            engines.push_back(std::make_unique<pbft::Client>(
-                config, id, directory, /*retry=*/2'000'000));
-          }
-          return engines;
-        });
-  }
-
-  // One trust domain per shard: anchors and session keys derive from the
-  // shard seed, matching that group's replica processes.
-  std::vector<std::uint64_t> seeds;
-  std::vector<splitbft::SplitClient::TrustAnchors> anchors(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    seeds.push_back(shard::shard_seed(options.seed, s));
-    tee::AttestationService attestation(seeds[s] ^ kAttestationSalt);
-    anchors[s].attestation_root = attestation.root_public_key();
-  }
-  return run_sharded_loadgen<splitbft::SplitClient>(
-      options, nets, loadgens, loadgen_index, [&](ClientId id) {
-        std::vector<std::unique_ptr<splitbft::SplitClient>> engines;
-        for (std::uint32_t s = 0; s < shards; ++s) {
-          auto engine = std::make_unique<splitbft::SplitClient>(
-              config, id, directory, anchors[s], seeds[s],
-              /*retry=*/2'000'000);
-          engine->adopt_session(session_key(seeds[s], id));
-          engines.push_back(std::move(engine));
-        }
-        return engines;
-      });
 }
 
 }  // namespace sbft::runtime::workload

@@ -1,207 +1,55 @@
 #include "runtime/workload/thread_driver.hpp"
 
-#include "runtime/workload/station.hpp"
-
-#include <atomic>
-#include <chrono>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "apps/kv_store.hpp"
-#include "common/rng.hpp"
-#include "crypto/keyring.hpp"
-#include "crypto/x25519.hpp"
 #include "net/thread_net.hpp"
-#include "pbft/client.hpp"
-#include "pbft/replica.hpp"
-#include "splitbft/client.hpp"
-#include "splitbft/replica.hpp"
-#include "tee/attestation.hpp"
-#include "tee/sealing.hpp"
+#include "runtime/workload/station.hpp"
+#include "runtime/workload/tcp_cluster.hpp"
 
 namespace sbft::runtime::workload {
 namespace {
 
-[[nodiscard]] Micros now_us() {
-  static const SteadyClock clock;
-  return clock.now();
-}
-
-[[nodiscard]] Report run_pbft(const Options& options) {
-  const pbft::Config config = options.protocol;
-  crypto::KeyRing keyring(crypto::Scheme::HmacShared,
-                          options.seed ^ 0x6b657972696e67ULL);
-  pbft::ClientDirectory directory(0x5ec7e7);
-  for (ReplicaId r = 0; r < config.n; ++r) {
-    keyring.add_principal(principal::pbft_replica(r));
+template <typename Engine>
+Report run_on(const Options& options) {
+  // The replicas and clients a one-group deployment's processes would
+  // run, assembled the same way, on one in-process network.
+  std::vector<std::unique_ptr<SeededReplica>> replicas;
+  for (ReplicaId r = 0; r < options.protocol.n; ++r) {
+    replicas.push_back(
+        std::make_unique<SeededReplica>(options, r, /*loadgens=*/1));
   }
-  const auto verifier = keyring.verifier();
-
-  struct LockedReplica {
-    std::mutex mutex;
-    std::unique_ptr<pbft::Replica> replica;
-  };
-  std::vector<std::unique_ptr<LockedReplica>> replicas;
-  for (ReplicaId r = 0; r < config.n; ++r) {
-    auto locked = std::make_unique<LockedReplica>();
-    locked->replica = std::make_unique<pbft::Replica>(
-        config, r, keyring.signer(principal::pbft_replica(r)), verifier,
-        directory, [] { return std::make_unique<apps::KvStore>(); },
-        /*auth=*/nullptr, runner::make_runner(options.workers));
-    replicas.push_back(std::move(locked));
-  }
+  const SeededClients seeded(options, /*groups=*/1);
 
   net::ThreadNetwork net;
-  LatencyHistogram hist;
-  std::atomic<bool> measuring{false};
-
-  for (ReplicaId r = 0; r < config.n; ++r) {
-    LockedReplica* locked = replicas[r].get();
-    net.register_endpoint(
-        principal::pbft_replica(r), [locked, &net](net::Envelope env) {
-          std::vector<net::Envelope> outs;
-          {
-            const std::scoped_lock lock(locked->mutex);
-            outs = locked->replica->handle(env, now_us());
-          }
-          for (auto& out : outs) net.send(std::move(out));
-        });
-  }
-
-  using S = Station<pbft::Client, net::ThreadNetwork>;
-  std::vector<std::unique_ptr<S>> stations;
-  const std::size_t n_stations = station_count(options);
-  for (std::size_t s = 0; s < n_stations; ++s) {
-    stations.push_back(std::make_unique<S>(options, net, hist, measuring));
-  }
-  for (std::uint32_t i = 0; i < options.clients; ++i) {
-    const ClientId id = kFirstClientId + i;
-    stations[i % n_stations]->add_client(
-        id, pbft::Client(config, id, directory, /*retry=*/2'000'000));
-  }
-
-  Report report = drive<pbft::Client, net::ThreadNetwork>(
-      options, net, stations, hist, measuring, [&](Micros now) {
-        for (auto& locked : replicas) {
-          std::vector<net::Envelope> outs;
-          {
-            const std::scoped_lock lock(locked->mutex);
-            outs = locked->replica->tick(now);
-          }
-          for (auto& out : outs) net.send(std::move(out));
-        }
-      });
-  for (auto& locked : replicas) {
-    report.admission_rejects += locked->replica->admission_rejects();
-  }
-  return report;
-}
-
-[[nodiscard]] Report run_splitbft(const Options& options) {
-  const pbft::Config config = options.protocol;
-  crypto::KeyRing keyring(crypto::Scheme::HmacShared,
-                          options.seed ^ 0x5b5f7b657972ULL);
-  pbft::ClientDirectory directory(0x5ec7e7);
-  tee::AttestationService attestation(options.seed ^ 0xa77e57ULL);
-  tee::SealingService sealing(options.seed ^ 0x5ea1ULL);
-  Rng rng(options.seed ^ 0x5b5f636c7573ULL);
-  crypto::Key32 exec_group_key;
-  for (auto& b : exec_group_key) b = static_cast<std::uint8_t>(rng.next_u64());
-
-  for (ReplicaId r = 0; r < config.n; ++r) {
-    for (const Compartment c :
-         {Compartment::Preparation, Compartment::Confirmation,
-          Compartment::Execution}) {
-      keyring.add_principal(principal::enclave({r, c}));
-    }
-  }
-
-  splitbft::ReplicaOptions replica_options;
-  replica_options.config = config;
-  // Simulation-mode cost model: the threaded driver measures the software
-  // stack itself; burning synthetic SGX crossing delays as real CPU time
-  // would only measure the cost model.
-  replica_options.cost_model = tee::CostModel::simulation();
-  replica_options.charge_real_time = false;
-  replica_options.exec_workers = options.workers;
-
-  struct LockedReplica {
-    std::mutex mutex;
-    std::shared_ptr<splitbft::SplitbftReplica> replica;
-  };
-  std::vector<std::unique_ptr<LockedReplica>> replicas;
-  for (ReplicaId r = 0; r < config.n; ++r) {
-    auto locked = std::make_unique<LockedReplica>();
-    locked->replica = std::make_shared<splitbft::SplitbftReplica>(
-        replica_options, r, keyring, attestation, sealing, exec_group_key,
-        crypto::x25519_keygen(rng),
-        splitbft::plain_app([] { return std::make_unique<apps::KvStore>(); }));
-    replicas.push_back(std::move(locked));
-  }
-
-  net::ThreadNetwork net;
-  LatencyHistogram hist;
-  std::atomic<bool> measuring{false};
-
-  for (ReplicaId r = 0; r < config.n; ++r) {
-    LockedReplica* locked = replicas[r].get();
-    // One consumer for all four principals: the broker behind them is one
-    // serial event loop anyway.
+  for (auto& replica : replicas) {
+    SeededReplica* rep = replica.get();
+    // One consumer per replica: a SplitBFT broker behind its four
+    // principals is one serial event loop anyway.
     net.register_endpoint_group(
-        {principal::splitbft_env(r),
-         principal::enclave({r, Compartment::Preparation}),
-         principal::enclave({r, Compartment::Confirmation}),
-         principal::enclave({r, Compartment::Execution})},
-        [locked, &net](net::Envelope env) {
-          std::vector<net::Envelope> outs;
-          {
-            const std::scoped_lock lock(locked->mutex);
-            outs = locked->replica->handle(env, now_us());
+        rep->principals(), [rep, &net](net::Envelope env) {
+          for (auto& out : rep->handle(env, wall_clock_us())) {
+            net.send(std::move(out));
           }
-          for (auto& out : outs) net.send(std::move(out));
         });
   }
 
-  splitbft::SplitClient::TrustAnchors anchors;
-  anchors.attestation_root = attestation.root_public_key();
-
-  using S = Station<splitbft::SplitClient, net::ThreadNetwork>;
-  std::vector<std::unique_ptr<S>> stations;
-  const std::size_t n_stations = station_count(options);
-  for (std::size_t s = 0; s < n_stations; ++s) {
-    stations.push_back(std::make_unique<S>(options, net, hist, measuring));
-  }
+  std::vector<ClientId> clients;
   for (std::uint32_t i = 0; i < options.clients; ++i) {
-    const ClientId id = kFirstClientId + i;
-    splitbft::SplitClient engine(config, id, directory, anchors, options.seed,
-                                 /*retry=*/2'000'000);
-    // Out-of-band session provisioning, as in the virtual-time benchmarks.
-    const crypto::Key32 session = session_key(options.seed, id);
-    engine.adopt_session(session);
-    for (ReplicaId r = 0; r < config.n; ++r) {
-      replicas[r]->replica->exec_mutable().install_session(id, session);
-    }
-    stations[i % n_stations]->add_client(id, std::move(engine));
+    clients.push_back(kFirstClientId + i);
   }
-
-  Report report = drive<splitbft::SplitClient, net::ThreadNetwork>(
-      options, net, stations, hist, measuring, [&](Micros now) {
-        for (auto& locked : replicas) {
-          std::vector<net::Envelope> outs;
-          {
-            const std::scoped_lock lock(locked->mutex);
-            outs = locked->replica->tick(now);
-          }
-          for (auto& out : outs) net.send(std::move(out));
+  Report report = drive<Engine>(
+      options, std::vector<net::ThreadNetwork*>{&net}, clients,
+      /*verifier=*/kFirstClientId + options.clients,
+      [&](ClientId id) { return seeded.engines<Engine>(id); },
+      [&](Micros now) {
+        for (auto& replica : replicas) {
+          for (auto& out : replica->tick(now)) net.send(std::move(out));
         }
       });
-  for (auto& locked : replicas) {
-    report.admission_rejects += locked->replica->broker().admission_rejects();
+  for (auto& replica : replicas) {
+    report.admission_rejects += replica->admission_rejects();
   }
   return report;
 }
@@ -209,8 +57,10 @@ namespace {
 }  // namespace
 
 Report run_thread_workload(const Options& options) {
-  return options.stack == Stack::Pbft ? run_pbft(options)
-                                      : run_splitbft(options);
+  Options group = options;
+  group.shards = 1;  // one group: keys derive from the seed unchanged
+  return group.stack == Stack::Pbft ? run_on<pbft::Client>(group)
+                                    : run_on<splitbft::SplitClient>(group);
 }
 
 }  // namespace sbft::runtime::workload

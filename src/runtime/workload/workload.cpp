@@ -167,6 +167,35 @@ Micros exponential_us(Rng& rng, Micros mean_us) {
   return static_cast<Micros>(d);
 }
 
+// ----------------------------------------------------------------- audit
+
+void audit_groups(const Options& options,
+                  const std::function<std::optional<Bytes>(Bytes)>& execute,
+                  Report::ShardingCounters& counters) {
+  for (std::uint64_t g = 0; g < options.multi_groups; ++g) {
+    bool first = true;
+    bool torn = false;
+    Bytes reference;
+    for (const auto& key : group_keys(options, g)) {
+      const auto result = execute(apps::kv::encode_get(key));
+      if (!result) {
+        torn = true;  // an unreadable key fails loudly, not silently
+        break;
+      }
+      // Compare full replies so NotFound vs an empty value differ.
+      if (first) {
+        reference = *result;
+        first = false;
+      } else if (*result != reference) {
+        torn = true;
+        break;
+      }
+    }
+    ++counters.groups_checked;
+    if (torn) ++counters.torn_groups;
+  }
+}
+
 // ---------------------------------------------------------------- report
 
 void summarize_into(const LatencyHistogram& hist, Micros measure_us,

@@ -3,11 +3,15 @@
 // Turns the protocol reproduction into a system that can be saturated: an
 // open/closed-loop load generator driving thousands of concurrent clients
 // (per-client session state, think times, request-size distribution and
-// Zipf key skew for the KV application) over either the deterministic
-// simulator (runtime/workload/sim_driver.hpp — virtual time, perf-modeled
-// replicas, reproducible from the seed) or the real threaded runtime
-// (runtime/workload/thread_driver.hpp — ThreadNetwork endpoints, wall
-// clock, real contention on the pipelined-batching paths).
+// Zipf key skew for the KV application). There is one driver per clock,
+// and in both every load client is a `shard::Router` over one engine per
+// shard group, so a single-group run is the router over one group:
+//
+//  * virtual time — runtime/workload/sim_driver.hpp: perf-modeled
+//    replicas on the deterministic simulator, reproducible from the seed;
+//  * wall-clock time — runtime/workload/station.hpp: the stations and run
+//    skeleton behind the ThreadNetwork driver (thread_driver.hpp) and the
+//    multi-process TCP loadgen (tcp_cluster.hpp).
 //
 //  * Closed loop: each client keeps exactly one request in flight and
 //    thinks for an exponentially distributed pause after each completion —
@@ -18,9 +22,14 @@
 //    queues the arrival and submits it on completion. Latency is measured
 //    from ARRIVAL, so queueing delay under overload is visible (the
 //    coordinated-omission-free measurement closed loops cannot give).
+//
+// Either driver ends a run that wrote multi-key groups
+// (`cross_shard_fraction > 0`) with the torn-write audit (`audit_groups`).
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,8 +124,8 @@ struct Report {
   /// whole measurement).
   bool sustained{false};
 
-  /// Sharding counters, summed over routers by the sharded drivers (all
-  /// zero for single-group runs).
+  /// Sharding counters, summed over the load clients' routers. With one
+  /// group every multi op is `single_shard_multi` and no 2PC runs.
   struct ShardingCounters {
     std::uint64_t multi_ops{0};
     std::uint64_t single_shard_multi{0};
@@ -220,6 +229,30 @@ class OpGenerator {
 /// Both drivers derive from here — the client adopts this key and every
 /// Execution enclave has it pre-installed, so the two sides MUST agree.
 [[nodiscard]] crypto::Key32 session_key(std::uint64_t seed, ClientId client);
+
+/// Adds a load client's router counters (read path + sharding) to `report`.
+template <typename Router>
+void add_router_stats(const Router& router, Report& report) {
+  report.fast_reads += router.fast_reads();
+  report.read_fallbacks += router.read_fallbacks();
+  const auto& stats = router.stats();
+  report.sharding.multi_ops += stats.multi_ops;
+  report.sharding.single_shard_multi += stats.single_shard_multi;
+  report.sharding.cross_shard_tx += stats.cross_shard_tx;
+  report.sharding.tx_commits += stats.tx_commits;
+  report.sharding.tx_aborts +=
+      stats.tx_aborts_vote + stats.tx_aborts_busy + stats.tx_aborts_expired;
+  report.sharding.busy_retries += stats.busy_retries;
+}
+
+/// Torn-write audit, run after the load stopped and drained: reads every
+/// multi-op key group back through `execute` (one ordered op at a time;
+/// nullopt = no reply). All keys of a group were only ever written
+/// together with one value, so any disagreement — including a mix of
+/// present and missing keys, or an unreadable key — is a torn write.
+void audit_groups(const Options& options,
+                  const std::function<std::optional<Bytes>(Bytes)>& execute,
+                  Report::ShardingCounters& counters);
 
 /// One JSON object describing a run (no trailing newline).
 [[nodiscard]] std::string report_json(const Options& options,

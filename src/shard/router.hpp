@@ -52,10 +52,13 @@ struct Routed {
   net::Envelope env;
 };
 
-/// Seed-derived per-shard provisioning: every process (sim harness, TCP
-/// replica, loadgen, run_cluster.py) derives shard `s`'s keys from
-/// `shard_seed(deployment_seed, s)`, so groups have unrelated key
-/// material without any distribution channel (splitmix64 finalizer).
+/// Seed-derived per-shard provisioning: every process of a multi-group
+/// deployment (TCP replica, loadgen, run_cluster.py) derives shard `s`'s
+/// keys from `shard_seed(deployment_seed, s)`, so groups have unrelated key
+/// material without any distribution channel (splitmix64 finalizer). A
+/// one-group deployment keeps the deployment seed itself
+/// (workload::shard_options); the simulator's ShardedCluster derives every
+/// group's seed here, whatever the group count.
 [[nodiscard]] constexpr std::uint64_t shard_seed(std::uint64_t seed,
                                                  std::uint32_t shard) noexcept {
   std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (shard + 1ULL);

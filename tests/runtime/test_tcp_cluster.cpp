@@ -74,7 +74,7 @@ class LoopbackCluster {
   [[nodiscard]] ReplicaNode& node(ReplicaId r) { return *nodes_[r]; }
 
   [[nodiscard]] Report run_loadgen() {
-    return run_tcp_workload(options_, topology_, 0, fast_reconnect());
+    return run_tcp_workload(options_, {topology_}, 0, fast_reconnect());
   }
 
  private:
@@ -309,7 +309,7 @@ void run_sharded_loopback(Stack stack, const std::string& tag) {
   });
 
   const Report report =
-      run_sharded_tcp_workload(options, topologies, 0, fast_reconnect());
+      run_tcp_workload(options, topologies, 0, fast_reconnect());
   done.store(true);
   chaos.join();
   EXPECT_TRUE(restart_ok.load());
@@ -351,11 +351,17 @@ TEST(TcpShardedCluster, TopologySlicingAndShardSeeds) {
 
   Options options;
   options.seed = 42;
+  options.shards = 2;
   const Options s0 = shard_options(options, 0);
   const Options s1 = shard_options(options, 1);
   EXPECT_NE(s0.seed, s1.seed);
   EXPECT_NE(s0.seed, options.seed);  // shard 0 is not the raw seed
   EXPECT_EQ(s0.seed, shard_options(options, 0).seed);  // deterministic
+
+  // One group keeps the deployment seed, so a one-group loadgen derives
+  // the same keys as replicas and tools that use the raw seed.
+  options.shards = 1;
+  EXPECT_EQ(shard_options(options, 0).seed, options.seed);
 }
 
 TEST(TcpCluster, RouteMapsEveryPrincipalToItsHost) {

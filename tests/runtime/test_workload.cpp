@@ -5,7 +5,6 @@
 #include <map>
 
 #include "apps/kv_store.hpp"
-#include "runtime/workload/sharded_driver.hpp"
 #include "runtime/workload/sim_driver.hpp"
 #include "runtime/workload/thread_driver.hpp"
 
@@ -161,6 +160,33 @@ TEST(ThreadWorkload, CompletesOnSplitbft) {
   EXPECT_GT(report.completed_ops, 0u);
 }
 
+// A one-group wall-clock run that writes multi-key groups ends with the
+// torn-write audit, as multi-group runs do: every group is read back.
+void expect_one_group_audit(Stack stack) {
+  Options options = small_point(stack);
+  options.clients = 16;
+  options.warmup_us = 50'000;
+  options.measure_us = 100'000;
+  options.cross_shard_fraction = 0.2;
+  options.multi_keys = 2;
+  options.multi_groups = 12;
+  const Report report = run_thread_workload(options);
+  EXPECT_GT(report.completed_ops, 0u);
+  // One group: every multi op executes as one ordered op, no 2PC.
+  EXPECT_GT(report.sharding.single_shard_multi, 0u);
+  EXPECT_EQ(report.sharding.cross_shard_tx, 0u);
+  EXPECT_EQ(report.sharding.groups_checked, options.multi_groups);
+  EXPECT_EQ(report.sharding.torn_groups, 0u);
+}
+
+TEST(ThreadWorkload, OneGroupRunAuditsMultiKeyWritesOnPbft) {
+  expect_one_group_audit(Stack::Pbft);
+}
+
+TEST(ThreadWorkload, OneGroupRunAuditsMultiKeyWritesOnSplitbft) {
+  expect_one_group_audit(Stack::Splitbft);
+}
+
 // --- mixed-op generator (CAS/DEL + whole-group MultiOps) ---
 
 [[nodiscard]] Options mixed_options() {
@@ -234,7 +260,7 @@ TEST(Workload, MixedOpStreamIsDeterministicPerSeed) {
   EXPECT_TRUE(diverged);
 }
 
-// --- sharded simulator driver ---
+// --- multi-group simulator runs (the same driver, options.shards > 1) ---
 
 [[nodiscard]] Options sharded_point(Stack stack, std::uint32_t shards) {
   Options options = small_point(stack);
@@ -248,7 +274,7 @@ TEST(Workload, MixedOpStreamIsDeterministicPerSeed) {
 
 TEST(ShardedSimWorkload, SustainsAndStaysAtomicOnPbft) {
   const Report report =
-      run_sharded_sim_workload(sharded_point(Stack::Pbft, 2));
+      run_sim_workload(sharded_point(Stack::Pbft, 2));
   EXPECT_GT(report.completed_ops, 0u);
   EXPECT_TRUE(report.sustained);
   EXPECT_GT(report.sharding.multi_ops, 0u);
@@ -260,7 +286,7 @@ TEST(ShardedSimWorkload, SustainsAndStaysAtomicOnPbft) {
 TEST(ShardedSimWorkload, SustainsAndStaysAtomicOnSplitbft) {
   Options options = sharded_point(Stack::Splitbft, 2);
   options.clients = 12;
-  const Report report = run_sharded_sim_workload(options);
+  const Report report = run_sim_workload(options);
   EXPECT_GT(report.completed_ops, 0u);
   EXPECT_TRUE(report.sustained);
   EXPECT_GT(report.sharding.tx_commits, 0u);
@@ -269,8 +295,8 @@ TEST(ShardedSimWorkload, SustainsAndStaysAtomicOnSplitbft) {
 
 TEST(ShardedSimWorkload, DeterministicFromSeed) {
   const Options options = sharded_point(Stack::Pbft, 2);
-  const Report a = run_sharded_sim_workload(options);
-  const Report b = run_sharded_sim_workload(options);
+  const Report a = run_sim_workload(options);
+  const Report b = run_sim_workload(options);
   EXPECT_EQ(a.completed_ops, b.completed_ops);
   EXPECT_EQ(a.sharding.tx_commits, b.sharding.tx_commits);
   EXPECT_EQ(a.sharding.cross_shard_tx, b.sharding.cross_shard_tx);
@@ -279,7 +305,7 @@ TEST(ShardedSimWorkload, DeterministicFromSeed) {
 
 TEST(ShardedSimWorkload, SingleShardPathRunsTheSameDriver) {
   Options options = sharded_point(Stack::Pbft, 1);
-  const Report report = run_sharded_sim_workload(options);
+  const Report report = run_sim_workload(options);
   EXPECT_GT(report.completed_ops, 0u);
   EXPECT_TRUE(report.sustained);
   // One group: every multi op executes as one ordered op, no 2PC.
