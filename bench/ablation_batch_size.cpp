@@ -1,41 +1,38 @@
 // Ablation B — batch size sweep: how request batching amortizes enclave
 // crossings and signatures (the lever behind the Figure 3a -> 3b jump).
+// Virtual time (workload::run_sim_workload); batch 1 runs the unbatched
+// protocol configuration, every other size the batched one.
 #include <cstdio>
 #include <vector>
 
-#include "runtime/bench_harness.hpp"
+#include "runtime/workload/sim_driver.hpp"
 
 using namespace sbft;
 using namespace sbft::runtime;
+using workload::Stack;
 
 int main() {
   std::printf("Ablation — throughput vs batch size "
               "(40 clients x 40 outstanding, KVS)\n");
   std::printf("%10s %-12s %12s %11s\n", "batch", "system", "ops/s", "mean-ms");
 
-  // The bench harness exposes batched/unbatched; for the sweep we run the
-  // batched configuration with modified batch_max via the profile hook:
-  // the protocol config is derived inside, so emulate sizes via the two
-  // supported modes plus intermediate outstanding scaling.
-  for (const bool batched : {false, true}) {
-    for (const System system : {System::Splitbft, System::Pbft}) {
-      BenchPoint point;
-      point.system = system;
-      point.workload = Workload::KvStore;
-      point.clients = 40;
-      point.outstanding = batched ? 40 : 1;
-      point.batched = batched;
-      point.warmup_us = 150'000;
-      point.measure_us = 400'000;
-      const BenchResult result = run_bench_point(point);
-      std::printf("%10s %-12s %12.0f %11.2f\n", batched ? "200" : "1",
-                  to_string(system), result.ops_per_sec,
-                  result.mean_latency_ms);
+  for (const std::size_t batch : {1, 10, 50, 100, 200}) {
+    for (const Stack stack : {Stack::Splitbft, Stack::Pbft}) {
+      workload::Options options =
+          workload::paper_options(stack, /*batched=*/batch > 1);
+      options.protocol.batch_max = batch;
+      options.clients = 40 * 40;
+      options.warmup_us = 150'000;
+      options.measure_us = 400'000;
+      const workload::Report report = workload::run_sim_workload(options);
+      std::printf("%10zu %-12s %12.0f %11.2f\n", batch,
+                  stack == Stack::Pbft ? "PBFT" : "SplitBFT",
+                  report.ops_per_sec, report.mean_latency_ms);
       std::fflush(stdout);
     }
   }
   std::printf("\nBatching amortizes one set of signatures + crossings over "
-              "200 requests —\nthe throughput multiplier is the paper's "
-              "core Figure 3a->3b result.\n");
+              "up to 200 requests —\nthe throughput multiplier is the "
+              "paper's core Figure 3a->3b result.\n");
   return 0;
 }

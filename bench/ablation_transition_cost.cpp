@@ -1,14 +1,26 @@
 // Ablation A — sensitivity of SplitBFT throughput to the enclave
 // transition cost (the §6 discussion attributes ~20% of the overhead to
 // transitions; this sweep shows the full curve from free transitions to 4x
-// the SGX cost).
+// the SGX cost). Virtual time (workload::run_sim_workload).
 #include <cstdio>
-#include <vector>
 
-#include "runtime/bench_harness.hpp"
+#include "runtime/workload/sim_driver.hpp"
 
 using namespace sbft;
 using namespace sbft::runtime;
+using workload::Stack;
+
+namespace {
+
+[[nodiscard]] workload::Options unbatched_point(Stack stack) {
+  workload::Options options = workload::paper_options(stack, false);
+  options.clients = 40;
+  options.warmup_us = 150'000;
+  options.measure_us = 400'000;
+  return options;
+}
+
+}  // namespace
 
 int main() {
   std::printf("Ablation — SplitBFT KVS throughput vs enclave transition "
@@ -16,29 +28,18 @@ int main() {
   std::printf("%14s %12s %11s\n", "transition-us", "ops/s", "mean-ms");
 
   for (const double transition : {0.0, 1.0, 2.3, 4.0, 8.0, 16.0}) {
-    BenchPoint point;
-    point.system = System::Splitbft;
-    point.workload = Workload::KvStore;
-    point.clients = 40;
-    point.batched = false;
-    point.warmup_us = 150'000;
-    point.measure_us = 400'000;
-    point.profile.sgx.transition_us = transition;
-    const BenchResult result = run_bench_point(point);
-    std::printf("%14.1f %12.0f %11.2f\n", transition, result.ops_per_sec,
-                result.mean_latency_ms);
+    workload::SimModel model;
+    model.profile.sgx.transition_us = transition;
+    const workload::Report report =
+        workload::run_sim_workload(unbatched_point(Stack::Splitbft), model);
+    std::printf("%14.1f %12.0f %11.2f\n", transition, report.ops_per_sec,
+                report.mean_latency_ms);
     std::fflush(stdout);
   }
 
   std::printf("\nFor reference, PBFT (no enclaves) at the same load:\n");
-  BenchPoint pbft;
-  pbft.system = System::Pbft;
-  pbft.workload = Workload::KvStore;
-  pbft.clients = 40;
-  pbft.batched = false;
-  pbft.warmup_us = 150'000;
-  pbft.measure_us = 400'000;
-  const BenchResult base = run_bench_point(pbft);
+  const workload::Report base =
+      workload::run_sim_workload(unbatched_point(Stack::Pbft));
   std::printf("%14s %12.0f %11.2f\n", "PBFT", base.ops_per_sec,
               base.mean_latency_ms);
   return 0;

@@ -1,8 +1,9 @@
 // Microbenchmarks for the from-scratch crypto substrate (google-benchmark).
 //
 // These are the primitive costs behind the CostProfile; on the paper's
-// hardware the ring/SGX equivalents are faster (the virtual-time model uses
-// calibrated constants, not these measurements — see EXPERIMENTS.md).
+// hardware the ring/SGX equivalents are faster. The virtual-time model does
+// not use these measurements: its CostProfile constants are hand-set to the
+// paper's Azure DC4s_v2 numbers and are not calibrated on this machine.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"

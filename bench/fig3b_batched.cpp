@@ -1,7 +1,8 @@
 // Figure 3b — throughput (ops/s) and latency (ms) vs number of clients,
 // WITH batching: batches close at 200 requests or a 10 ms timeout, and
 // every client keeps 40 requests outstanding (modeled as 40 independent
-// closed-loop clients per nominal client).
+// closed-loop clients per nominal client). Virtual time
+// (workload::run_sim_workload).
 //
 // Paper shapes to check: batched SplitBFT reaches ~64% of PBFT for the
 // KVS and ~55% for the blockchain; the KVS beats the blockchain by up to
@@ -9,22 +10,29 @@
 #include <cstdio>
 #include <vector>
 
-#include "runtime/bench_harness.hpp"
+#include "runtime/workload/sim_driver.hpp"
 
 using namespace sbft;
 using namespace sbft::runtime;
+using workload::SimModel;
+using workload::Stack;
 
 int main() {
   const std::vector<std::uint32_t> client_counts = {10, 40, 80, 120, 150};
+  constexpr std::uint32_t kOutstanding = 40;
+  SimModel ledger;
+  ledger.app = App::Ledger;
   struct Series {
-    System system;
-    Workload workload;
+    const char* system;
+    const char* app;
+    Stack stack;
+    SimModel model;
   };
   const std::vector<Series> series = {
-      {System::Splitbft, Workload::KvStore},
-      {System::Pbft, Workload::KvStore},
-      {System::Splitbft, Workload::Blockchain},
-      {System::Pbft, Workload::Blockchain},
+      {"SplitBFT", "KVS", Stack::Splitbft, {}},
+      {"PBFT", "KVS", Stack::Pbft, {}},
+      {"SplitBFT", "Blockchain", Stack::Splitbft, ledger},
+      {"PBFT", "Blockchain", Stack::Pbft, ledger},
   };
 
   std::printf("Figure 3b — batched (200 req / 10 ms, 40 outstanding per "
@@ -34,16 +42,16 @@ int main() {
 
   for (const auto& s : series) {
     for (const std::uint32_t clients : client_counts) {
-      BenchPoint point;
-      point.system = s.system;
-      point.workload = s.workload;
-      point.clients = clients;
-      point.outstanding = 40;
-      point.batched = true;
-      point.warmup_us = 150'000;
-      point.measure_us = 400'000;
-      const BenchResult result = run_bench_point(point);
-      std::printf("%s\n", bench_row(point, result).c_str());
+      workload::Options options =
+          workload::paper_options(s.stack, /*batched=*/true);
+      options.clients = clients * kOutstanding;
+      options.warmup_us = 150'000;
+      options.measure_us = 400'000;
+      const workload::Report report =
+          workload::run_sim_workload(options, s.model);
+      std::printf("%-24s %-11s %8u %12.0f %11.2f %9.2f\n", s.system, s.app,
+                  clients, report.ops_per_sec, report.mean_latency_ms,
+                  static_cast<double>(report.p99_us) / 1000.0);
       std::fflush(stdout);
     }
     std::printf("\n");

@@ -2,36 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <limits>
-#include <numeric>
 
 namespace sbft {
-
-LatencyRecorder::Summary LatencyRecorder::summarize() const {
-  std::vector<Micros> copy;
-  {
-    const std::scoped_lock lock(mutex_);
-    copy = samples_;
-  }
-  Summary s;
-  s.count = copy.size();
-  if (copy.empty()) return s;
-  std::sort(copy.begin(), copy.end());
-  const auto total =
-      std::accumulate(copy.begin(), copy.end(), std::uint64_t{0});
-  s.mean_us = static_cast<double>(total) / static_cast<double>(copy.size());
-  const auto at = [&](double q) {
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(copy.size() - 1) + 0.5);
-    return copy[std::min(idx, copy.size() - 1)];
-  };
-  s.p50_us = at(0.50);
-  s.p95_us = at(0.95);
-  s.p99_us = at(0.99);
-  s.max_us = copy.back();
-  return s;
-}
 
 // ------------------------------------------------------- LatencyHistogram
 
@@ -133,14 +106,6 @@ void LatencyHistogram::reset() {
   total_ = 0;
   sum_us_ = 0;
   max_us_ = 0;
-}
-
-std::string format_row(const std::string& label, int clients,
-                       double ops_per_sec, double mean_lat_ms) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%-32s %8d %14.1f %12.3f", label.c_str(),
-                clients, ops_per_sec, mean_lat_ms);
-  return std::string(buf);
 }
 
 }  // namespace sbft

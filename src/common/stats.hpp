@@ -1,12 +1,11 @@
-// Latency/throughput measurement used by the benchmark harness, plus the
-// lightweight event counters exported by hot-path subsystems (e.g. the
+// Latency measurement used by the load drivers, plus the lightweight
+// event counters exported by hot-path subsystems (e.g. the
 // signature-verification cache).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -87,9 +86,7 @@ class alignas(kCacheLineBytes) Gauge {
   std::atomic<std::uint64_t> peak_{0};
 };
 
-/// Latency summary (count/mean/percentiles) shared by both samplers:
-/// LatencyRecorder computes it from raw samples, LatencyHistogram from its
-/// fixed-memory buckets — consumers keep the same field names either way.
+/// Latency summary (count/mean/percentiles) of a LatencyHistogram.
 struct LatencySummary {
   std::size_t count{0};
   double mean_us{0.0};
@@ -99,39 +96,9 @@ struct LatencySummary {
   Micros max_us{0};
 };
 
-/// Collects individual latency samples (microseconds) and reports
-/// mean/percentiles. Thread-safe recording. Memory grows with the sample
-/// count — prefer LatencyHistogram for sustained workloads.
-class LatencyRecorder {
- public:
-  void record(Micros sample) {
-    const std::scoped_lock lock(mutex_);
-    samples_.push_back(sample);
-  }
-
-  [[nodiscard]] std::size_t count() const {
-    const std::scoped_lock lock(mutex_);
-    return samples_.size();
-  }
-
-  using Summary = LatencySummary;
-
-  [[nodiscard]] Summary summarize() const;
-
-  void reset() {
-    const std::scoped_lock lock(mutex_);
-    samples_.clear();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<Micros> samples_;
-};
-
 /// Fixed-memory latency histogram: logarithmic buckets with ~4% relative
 /// resolution, so a sustained workload run records millions of samples in
-/// a few KiB where LatencyRecorder's sample vector would grow without
-/// bound. Thread-safe recording (the threaded workload driver records from
+/// a few KiB. Thread-safe recording (the threaded workload driver records from
 /// many ThreadNetwork consumer threads).
 class LatencyHistogram {
  public:
@@ -154,8 +121,8 @@ class LatencyHistogram {
   /// Non-empty buckets in ascending order (JSON export).
   [[nodiscard]] std::vector<Bucket> buckets() const;
 
-  /// Count/mean/percentile summary with the same fields LatencyRecorder
-  /// reports (quantiles are bucket-resolution, ~4% relative error).
+  /// Count/mean/percentile summary (quantiles are bucket-resolution, ~4%
+  /// relative error).
   [[nodiscard]] LatencySummary summarize() const;
 
   void reset();
@@ -179,9 +146,5 @@ class LatencyHistogram {
   double sum_us_{0};
   Micros max_us_{0};
 };
-
-/// Formats an ops/s + latency table row (fixed-width, benchmark output).
-[[nodiscard]] std::string format_row(const std::string& label, int clients,
-                                     double ops_per_sec, double mean_lat_ms);
 
 }  // namespace sbft

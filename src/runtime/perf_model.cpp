@@ -642,20 +642,4 @@ std::vector<net::Envelope> PbftPerfActor::tick(Micros now) {
   return {};
 }
 
-// ---------------------------------------------------------- closed loop
-
-void ClosedLoopDriver::start(Micros now) {
-  submitted_at_ = now;
-  harness_.inject(submit_(now));
-}
-
-void ClosedLoopDriver::completed(Micros now) {
-  if (measuring_) {
-    ++ops_;
-    hist_.record(now - submitted_at_);
-  }
-  submitted_at_ = now;
-  harness_.inject(submit_(now));
-}
-
 }  // namespace sbft::runtime

@@ -18,15 +18,14 @@
 //               simulation mode).
 //
 // Service times are derived from a CostProfile of primitive costs
-// (sign/verify/HMAC/AEAD/hash/serde/app), calibrated against the absolute
-// numbers the paper reports for its Azure DC4s_v2 testbed (see
-// EXPERIMENTS.md for the calibration).
+// (sign/verify/HMAC/AEAD/hash/serde/app). Its constants are hand-set to
+// the absolute numbers the paper reports for its Azure DC4s_v2 testbed;
+// they are not calibrated on the machine running the model.
 #pragma once
 
 #include <array>
 #include <memory>
 
-#include "common/stats.hpp"
 #include "net/auth.hpp"
 #include "runtime/pbft_cluster.hpp"
 #include "runtime/splitbft_cluster.hpp"
@@ -174,41 +173,6 @@ class PbftPerfActor final : public Actor {
   std::function<net::VerifyStats()> auth_fn_;
   std::vector<Resource> workers_;
   Resource protocol_;
-};
-
-// ----------------------------------------------------------- measurement
-
-/// Closed-loop client driver: re-submits immediately upon completion and
-/// records per-operation latency (into a shared fixed-memory histogram)
-/// while measuring.
-class ClosedLoopDriver {
- public:
-  using SubmitFn = std::function<std::vector<net::Envelope>(Micros now)>;
-
-  ClosedLoopDriver(SimHarness& harness, SubmitFn submit,
-                   LatencyHistogram& hist)
-      : harness_(harness), submit_(std::move(submit)), hist_(hist) {}
-
-  void start(Micros now);
-  /// Called by the owning actor when the in-flight op completed.
-  void completed(Micros now);
-  void set_measuring(bool measuring) noexcept { measuring_ = measuring; }
-
-  [[nodiscard]] std::uint64_t completed_ops() const noexcept { return ops_; }
-
- private:
-  SimHarness& harness_;
-  SubmitFn submit_;
-  LatencyHistogram& hist_;
-  Micros submitted_at_{0};
-  bool measuring_{false};
-  std::uint64_t ops_{0};
-};
-
-struct LoadResult {
-  double ops_per_sec{0};
-  double mean_latency_ms{0};
-  LatencySummary latency;
 };
 
 }  // namespace sbft::runtime

@@ -18,9 +18,11 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/kv_store.hpp"
+#include "apps/ledger.hpp"
 #include "pbft/messages.hpp"
 #include "runtime/pbft_cluster.hpp"
 #include "runtime/splitbft_cluster.hpp"
@@ -29,22 +31,23 @@
 
 namespace sbft::runtime {
 
+/// Application every group replicates. The shard layer is the KV store's
+/// scale-out story; Ledger is the paper's blockchain workload (opaque
+/// transactions, one block per 5) and one chain, so it runs on a single
+/// group only.
+enum class App { KvStore, Ledger };
+
 struct ShardedClusterOptions {
   std::uint32_t shards{2};
   pbft::Config config{};
   std::uint64_t seed{1};
   sim::LinkParams link_params{};
   shard::RouterOptions router{};
-  std::size_t exec_workers{0};
-  /// Lockstep step size: every group runs this much simulated time
-  /// before any group runs further.
-  Micros lockstep_quantum_us{200};
-  /// Router port tick interval (engine retransmission timers).
-  Micros client_tick_us{100'000};
+  App app{App::KvStore};
 };
 
-/// Stack adapters for ShardedCluster. Both build KvStore groups — the
-/// shard layer is the KV store's scale-out story.
+/// Stack adapters for ShardedCluster: one group of the stack running
+/// `options.app`, and one client engine for it.
 struct PbftShardStack {
   using Cluster = PbftCluster;
   using Engine = pbft::Client;
@@ -55,7 +58,10 @@ struct PbftShardStack {
     copts.config = options.config;
     copts.seed = shard::shard_seed(options.seed, shard);
     copts.link_params = options.link_params;
-    copts.exec_workers = options.exec_workers;
+    if (options.app == App::Ledger) {
+      return std::make_unique<Cluster>(
+          copts, [] { return std::make_unique<apps::Ledger>(5); });
+    }
     return std::make_unique<Cluster>(
         copts, [] { return std::make_unique<apps::KvStore>(); });
   }
@@ -80,7 +86,14 @@ struct SplitbftShardStack {
     copts.config = options.config;
     copts.seed = shard::shard_seed(options.seed, shard);
     copts.link_params = options.link_params;
-    copts.exec_workers = options.exec_workers;
+    if (options.app == App::Ledger) {
+      // Blocks leave the Execution enclave through the persist ocall.
+      return std::make_unique<Cluster>(
+          copts, [](splitbft::PersistHook persist) {
+            return std::make_unique<apps::Ledger>(
+                5, [persist](ByteView block) { persist(block); });
+          });
+    }
     return std::make_unique<Cluster>(
         copts,
         splitbft::plain_app([] { return std::make_unique<apps::KvStore>(); }));
@@ -118,6 +131,9 @@ class ShardedCluster {
 
   explicit ShardedCluster(ShardedClusterOptions options)
       : options_(std::move(options)) {
+    if (options_.app == App::Ledger && options_.shards > 1) {
+      throw std::invalid_argument("Ledger groups cannot be sharded");
+    }
     options_.router.shards = options_.shards;
     groups_.reserve(options_.shards);
     for (std::uint32_t s = 0; s < options_.shards; ++s) {
@@ -159,7 +175,7 @@ class ShardedCluster {
       auto port = std::make_shared<Port>(state, s);
       if (s == 0) {
         groups_[s]->harness().add_actor(principal::client(id), port,
-                                        options_.client_tick_us);
+                                        kClientTickUs);
       } else {
         groups_[s]->harness().add_endpoint(principal::client(id), port);
       }
@@ -193,7 +209,7 @@ class ShardedCluster {
     Micros done = 0;
     while (done < duration) {
       const Micros step =
-          std::min<Micros>(options_.lockstep_quantum_us, duration - done);
+          std::min<Micros>(kLockstepQuantumUs, duration - done);
       for (auto& g : groups_) g->harness().run_for(step);
       done += step;
     }
@@ -205,9 +221,9 @@ class ShardedCluster {
     while (elapsed < max_sim_time) {
       if (done()) return true;
       for (auto& g : groups_) {
-        g->harness().run_for(options_.lockstep_quantum_us);
+        g->harness().run_for(kLockstepQuantumUs);
       }
-      elapsed += options_.lockstep_quantum_us;
+      elapsed += kLockstepQuantumUs;
     }
     return done();
   }
@@ -262,6 +278,12 @@ class ShardedCluster {
   }
 
  private:
+  /// Lockstep step size: every group runs this much simulated time
+  /// before any group runs further.
+  static constexpr Micros kLockstepQuantumUs = 200;
+  /// Router port tick interval (engine retransmission timers).
+  static constexpr Micros kClientTickUs = 100'000;
+
   struct ClientState {
     ShardedCluster* owner{nullptr};
     std::unique_ptr<Router> router;

@@ -1,35 +1,44 @@
 #include "runtime/workload/sim_driver.hpp"
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "runtime/perf_model.hpp"
-#include "runtime/sharded_cluster.hpp"
+#include "apps/ledger.hpp"
 
 namespace sbft::runtime::workload {
 namespace {
 
-void wrap_perf(PbftCluster& group, std::size_t workers) {
-  const CostProfile profile{};
+/// Wraps every replica of `group` in the perf model. Returns the leader's
+/// SplitBFT perf actor (its ecall accounting is Figure 4); PBFT has none.
+const SplitPerfActor* wrap_perf(PbftCluster& group, std::size_t workers,
+                                const SimModel& model) {
   for (ReplicaId r = 0; r < group.config().n; ++r) {
     auto actor = std::make_shared<PbftPerfActor>(
-        group.harness(), group.replica_actor(r), profile,
+        group.harness(), group.replica_actor(r), model.profile,
         std::max<std::size_t>(1, workers));
     pbft::Replica* replica = &group.replica(r);
     actor->set_auth_stats([replica] { return replica->auth().stats(); });
+    if (model.app == App::Ledger) {
+      actor->set_block_counter([replica] {
+        return dynamic_cast<const apps::Ledger&>(replica->app()).height();
+      });
+    }
     group.harness().replace_actor(principal::pbft_replica(r),
                                   std::move(actor));
   }
+  return nullptr;
 }
 
-void wrap_perf(SplitbftCluster& group, std::size_t workers) {
-  const CostProfile profile{};
+const SplitPerfActor* wrap_perf(SplitbftCluster& group, std::size_t workers,
+                                const SimModel& model) {
+  const SplitPerfActor* leader = nullptr;
   for (ReplicaId r = 0; r < group.config().n; ++r) {
     auto actor = std::make_shared<SplitPerfActor>(
-        group.harness(), group.replica_actor(r), profile,
-        /*single_ecall_thread=*/false, /*exec_workers=*/workers);
+        group.harness(), group.replica_actor(r), model.profile,
+        model.single_ecall_thread, /*exec_workers=*/workers);
     splitbft::SplitbftReplica* replica = &group.replica(r);
     actor->set_auth_stats(Compartment::Preparation, [replica] {
       return replica->prep().auth().stats();
@@ -40,10 +49,54 @@ void wrap_perf(SplitbftCluster& group, std::size_t workers) {
     actor->set_auth_stats(Compartment::Execution, [replica] {
       return replica->exec().auth().stats();
     });
+    if (model.app == App::Ledger) {
+      actor->set_block_counter(
+          [replica] { return replica->block_store().size(); });
+    }
+    if (r == 0) leader = actor.get();
     for (const principal::Id id : group.replica_principals(r)) {
       group.harness().replace_actor(id, actor);
     }
   }
+  return leader;
+}
+
+using EcallSnapshot = std::array<EcallAccounting, kNumCompartments>;
+
+[[nodiscard]] EcallSnapshot ecall_snapshot(const SplitPerfActor& actor) {
+  EcallSnapshot snap;
+  for (std::size_t c = 0; c < kNumCompartments; ++c) {
+    snap[c] = actor.ecall_stats(static_cast<Compartment>(c));
+  }
+  return snap;
+}
+
+/// Ecall time between two snapshots, per completed request and per call.
+[[nodiscard]] EcallBreakdown ecall_breakdown(const EcallSnapshot& before,
+                                             const EcallSnapshot& after,
+                                             std::uint64_t completed_ops) {
+  const double ops =
+      std::max<double>(1.0, static_cast<double>(completed_ops));
+  const auto per_req = [&](Compartment c) {
+    const auto i = static_cast<std::size_t>(c);
+    return static_cast<double>(after[i].total_us - before[i].total_us) / ops;
+  };
+  const auto per_call = [&](Compartment c) {
+    const auto i = static_cast<std::size_t>(c);
+    const std::uint64_t calls = after[i].calls - before[i].calls;
+    return calls ? static_cast<double>(after[i].total_us -
+                                       before[i].total_us) /
+                       static_cast<double>(calls)
+                 : 0.0;
+  };
+  EcallBreakdown e;
+  e.prep_us_per_req = per_req(Compartment::Preparation);
+  e.conf_us_per_req = per_req(Compartment::Confirmation);
+  e.exec_us_per_req = per_req(Compartment::Execution);
+  e.prep_mean_ecall_us = per_call(Compartment::Preparation);
+  e.conf_mean_ecall_us = per_call(Compartment::Confirmation);
+  e.exec_mean_ecall_us = per_call(Compartment::Execution);
+  return e;
 }
 
 [[nodiscard]] std::uint64_t admission_rejects(PbftCluster& group) {
@@ -77,16 +130,20 @@ struct Slot {
 template <typename Stack>
 class SimLoad {
  public:
-  explicit SimLoad(const Options& options) : options_(options) {
+  SimLoad(const Options& options, const SimModel& model)
+      : options_(options) {
     ShardedClusterOptions copts;
     copts.shards = std::max<std::uint32_t>(options.shards, 1);
     copts.config = options.protocol;
     copts.seed = options.seed;
     copts.link_params.min_delay_us = 60;
     copts.link_params.max_delay_us = 140;
+    copts.app = model.app;
     cluster_ = std::make_unique<ShardedCluster<Stack>>(copts);
     for (std::uint32_t s = 0; s < cluster_->shards(); ++s) {
-      wrap_perf(cluster_->group(s), options_.workers);
+      const SplitPerfActor* leader =
+          wrap_perf(cluster_->group(s), options_.workers, model);
+      if (s == 0) leader_ = leader;
     }
   }
 
@@ -95,6 +152,8 @@ class SimLoad {
     start_staggered();
     cluster_->run_for(options_.warmup_us);
     for (auto& slot : slots_) slot->measuring = true;
+    const EcallSnapshot ecalls_before =
+        leader_ ? ecall_snapshot(*leader_) : EcallSnapshot{};
     bool sustained = true;
     std::uint64_t prev = hist_.count();
     for (int quarter = 0; quarter < 4; ++quarter) {
@@ -108,6 +167,10 @@ class SimLoad {
     Report report;
     summarize_into(hist_, options_.measure_us, report);
     report.sustained = sustained && report.completed_ops > 0;
+    if (leader_) {
+      report.leader_ecalls = ecall_breakdown(
+          ecalls_before, ecall_snapshot(*leader_), report.completed_ops);
+    }
     for (const auto& slot : slots_) {
       add_router_stats(cluster_->router(slot->id), report);
     }
@@ -221,18 +284,36 @@ class SimLoad {
 
   Options options_;
   std::unique_ptr<ShardedCluster<Stack>> cluster_;
+  const SplitPerfActor* leader_{nullptr};
   std::vector<std::shared_ptr<Slot>> slots_;
   LatencyHistogram hist_;
 };
 
 }  // namespace
 
-Report run_sim_workload(const Options& options) {
+Options paper_options(Stack stack, bool batched) {
+  Options options;
+  options.stack = stack;
+  options.key_skew = 0;
+  options.get_fraction = 0;
+  options.value_min_bytes = 10;
+  options.value_max_bytes = 10;
+  options.workers = stack == Stack::Pbft ? 4 : 1;
+  options.protocol.batch_max = batched ? 200 : 1;
+  options.protocol.batch_timeout_us = 10'000;
+  options.protocol.checkpoint_interval = batched ? 50 : 500;
+  options.protocol.watermark_window = batched ? 400 : 4000;
+  // Saturation must not trigger view changes.
+  options.protocol.request_timeout_us = 2'000'000;
+  return options;
+}
+
+Report run_sim_workload(const Options& options, const SimModel& model) {
   if (options.stack == Stack::Pbft) {
-    SimLoad<PbftShardStack> load(options);
+    SimLoad<PbftShardStack> load(options, model);
     return load.run();
   }
-  SimLoad<SplitbftShardStack> load(options);
+  SimLoad<SplitbftShardStack> load(options, model);
   return load.run();
 }
 

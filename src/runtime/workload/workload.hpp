@@ -101,6 +101,16 @@ struct Options {
   std::uint64_t seed{42};
 };
 
+/// Per-request time spent inside each compartment on the leader (Figure 4).
+struct EcallBreakdown {
+  double prep_us_per_req{0};
+  double conf_us_per_req{0};
+  double exec_us_per_req{0};
+  double prep_mean_ecall_us{0};
+  double conf_mean_ecall_us{0};
+  double exec_mean_ecall_us{0};
+};
+
 struct Report {
   std::uint64_t completed_ops{0};
   /// Read fast-path accounting (whole run, warmup included): reads that
@@ -159,6 +169,10 @@ struct Report {
     std::uint64_t state_bytes_out{0};
   };
   TransportCounters transport;
+
+  /// Virtual-time SplitBFT runs only: enclave time on group 0's leader
+  /// over the measurement window (not exported by report_json).
+  EcallBreakdown leader_ecalls;
 };
 
 /// Fills the percentile/histogram fields of `report` from `hist`.

@@ -36,31 +36,6 @@ TEST(Counter, ConcurrentAddsAreNotLost) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(LatencyRecorder, EmptySummary) {
-  LatencyRecorder rec;
-  const auto s = rec.summarize();
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean_us, 0.0);
-}
-
-TEST(LatencyRecorder, BasicPercentiles) {
-  LatencyRecorder rec;
-  for (Micros v = 1; v <= 100; ++v) rec.record(v);
-  const auto s = rec.summarize();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.mean_us, 50.5);
-  EXPECT_NEAR(static_cast<double>(s.p50_us), 50.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(s.p95_us), 95.0, 2.0);
-  EXPECT_EQ(s.max_us, 100u);
-}
-
-TEST(LatencyRecorder, Reset) {
-  LatencyRecorder rec;
-  rec.record(5);
-  rec.reset();
-  EXPECT_EQ(rec.count(), 0u);
-}
-
 TEST(SimClock, AdvanceMonotonic) {
   SimClock clock;
   EXPECT_EQ(clock.now(), 0u);

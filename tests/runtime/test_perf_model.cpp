@@ -1,8 +1,11 @@
 // Unit tests for the virtual-time performance model.
 #include <gtest/gtest.h>
 
-#include "runtime/bench_harness.hpp"
+#include <stdexcept>
+#include <utility>
+
 #include "runtime/perf_model.hpp"
+#include "runtime/workload/sim_driver.hpp"
 
 namespace sbft::runtime {
 namespace {
@@ -28,38 +31,64 @@ TEST(CostProfile, SimulationModeRemovesCrossings) {
   EXPECT_EQ(p.sgx.crossing_cost(1024, 1024), 0u);
 }
 
+// The paper-figure points, on the one virtual-time driver.
+using workload::paper_options;
+using workload::run_sim_workload;
+using workload::SimModel;
+using workload::Stack;
+
+[[nodiscard]] SimModel single_ecall_thread() {
+  SimModel model;
+  model.single_ecall_thread = true;
+  return model;
+}
+
+[[nodiscard]] SimModel sgx_simulation_mode() {
+  SimModel model;
+  model.profile.sgx = tee::CostModel::simulation();
+  return model;
+}
+
+[[nodiscard]] SimModel ledger() {
+  SimModel model;
+  model.app = App::Ledger;
+  return model;
+}
+
 TEST(BenchHarness, SmallPointsProduceThroughput) {
   // Tiny smoke points — full sweeps live in bench/.
-  for (const System system :
-       {System::Pbft, System::Splitbft, System::SplitbftSingle}) {
-    BenchPoint point;
-    point.system = system;
-    point.workload = Workload::KvStore;
-    point.clients = 4;
-    point.batched = false;
-    point.warmup_us = 30'000;
-    point.measure_us = 80'000;
-    const BenchResult result = run_bench_point(point);
-    EXPECT_GT(result.ops_per_sec, 100.0) << to_string(system);
-    EXPECT_GT(result.mean_latency_ms, 0.0) << to_string(system);
+  const std::pair<Stack, SimModel> systems[] = {
+      {Stack::Pbft, {}},
+      {Stack::Splitbft, {}},
+      {Stack::Splitbft, single_ecall_thread()},
+  };
+  for (const auto& [stack, model] : systems) {
+    workload::Options options = paper_options(stack, /*batched=*/false);
+    options.clients = 4;
+    options.warmup_us = 30'000;
+    options.measure_us = 80'000;
+    const workload::Report report = run_sim_workload(options, model);
+    EXPECT_GT(report.ops_per_sec, 100.0) << to_string(stack);
+    EXPECT_GT(report.mean_latency_ms, 0.0) << to_string(stack);
   }
 }
 
+[[nodiscard]] double unbatched_20_clients(Stack stack,
+                                          const SimModel& model = {}) {
+  workload::Options options = paper_options(stack, /*batched=*/false);
+  options.clients = 20;
+  options.warmup_us = 50'000;
+  options.measure_us = 150'000;
+  return run_sim_workload(options, model).ops_per_sec;
+}
+
 TEST(BenchHarness, SplitbftSlowerThanPbftAndSimFaster) {
-  const auto run = [](System system) {
-    BenchPoint point;
-    point.system = system;
-    point.workload = Workload::KvStore;
-    point.clients = 20;
-    point.batched = false;
-    point.warmup_us = 50'000;
-    point.measure_us = 150'000;
-    return run_bench_point(point).ops_per_sec;
-  };
-  const double pbft = run(System::Pbft);
-  const double split = run(System::Splitbft);
-  const double sim = run(System::SplitbftSim);
-  const double single = run(System::SplitbftSingle);
+  const double pbft = unbatched_20_clients(Stack::Pbft);
+  const double split = unbatched_20_clients(Stack::Splitbft);
+  const double sim =
+      unbatched_20_clients(Stack::Splitbft, sgx_simulation_mode());
+  const double single =
+      unbatched_20_clients(Stack::Splitbft, single_ecall_thread());
 
   // The paper's ordering: PBFT > SplitBFT-sim > SplitBFT > single-thread.
   EXPECT_GT(pbft, split);
@@ -71,31 +100,45 @@ TEST(BenchHarness, SplitbftSlowerThanPbftAndSimFaster) {
 }
 
 TEST(BenchHarness, BlockchainSlowerThanKvOnSplitbft) {
-  const auto run = [](Workload workload) {
-    BenchPoint point;
-    point.system = System::Splitbft;
-    point.workload = workload;
-    point.clients = 20;
-    point.batched = false;
-    point.warmup_us = 50'000;
-    point.measure_us = 150'000;
-    return run_bench_point(point).ops_per_sec;
-  };
-  EXPECT_GT(run(Workload::KvStore), run(Workload::Blockchain));
+  EXPECT_GT(unbatched_20_clients(Stack::Splitbft),
+            unbatched_20_clients(Stack::Splitbft, ledger()));
 }
 
 TEST(BenchHarness, EcallBreakdownPopulatedForSplitbft) {
-  BenchPoint point;
-  point.system = System::Splitbft;
-  point.workload = Workload::KvStore;
-  point.clients = 8;
-  point.batched = false;
-  point.warmup_us = 30'000;
-  point.measure_us = 100'000;
-  const BenchResult result = run_bench_point(point);
-  EXPECT_GT(result.leader_ecalls.prep_us_per_req, 0.0);
-  EXPECT_GT(result.leader_ecalls.conf_us_per_req, 0.0);
-  EXPECT_GT(result.leader_ecalls.exec_us_per_req, 0.0);
+  workload::Options options =
+      paper_options(Stack::Splitbft, /*batched=*/false);
+  options.clients = 8;
+  options.warmup_us = 30'000;
+  options.measure_us = 100'000;
+  const workload::Report report = run_sim_workload(options);
+  EXPECT_GT(report.leader_ecalls.prep_us_per_req, 0.0);
+  EXPECT_GT(report.leader_ecalls.conf_us_per_req, 0.0);
+  EXPECT_GT(report.leader_ecalls.exec_us_per_req, 0.0);
+}
+
+// Fig. 3b configuration (200-request / 10 ms batches, 40 outstanding per
+// client), scaled down to 5 nominal clients.
+TEST(BenchHarness, BatchingRaisesThroughputAndKvBeatsLedger) {
+  const auto run = [](Stack stack, bool batched, const SimModel& model) {
+    workload::Options options = paper_options(stack, batched);
+    options.clients = 5 * 40;
+    options.warmup_us = 50'000;
+    options.measure_us = 150'000;
+    return run_sim_workload(options, model).ops_per_sec;
+  };
+  EXPECT_GT(run(Stack::Pbft, true, {}), run(Stack::Pbft, false, {}));
+  const double split_kv = run(Stack::Splitbft, true, {});
+  EXPECT_GT(split_kv, run(Stack::Splitbft, false, {}));
+  // The paper reports the batched KVS up to 4.6x above the blockchain.
+  EXPECT_GT(split_kv, run(Stack::Splitbft, true, ledger()));
+}
+
+TEST(BenchHarness, LedgerRejectsMoreThanOneShard) {
+  workload::Options options =
+      paper_options(Stack::Splitbft, /*batched=*/false);
+  options.shards = 2;
+  EXPECT_THROW((void)run_sim_workload(options, ledger()),
+               std::invalid_argument);
 }
 
 }  // namespace
