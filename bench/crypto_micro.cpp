@@ -11,6 +11,7 @@
 #include "crypto/ed25519.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_detail.hpp"
 #include "crypto/sha512.hpp"
 #include "crypto/x25519.hpp"
 
@@ -111,4 +112,14 @@ BENCHMARK(BM_X25519);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Which SHA-256 compression function CPUID selected ("sha-ni" or
+  // "portable"), so the JSON output says what the Sha256 rows measured.
+  benchmark::AddCustomContext("sha256_impl",
+                              sbft::crypto::detail::sha256_impl_name());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -15,10 +15,10 @@
 // (the default) the router simply forwards to it. A `--cross-fraction > 0`
 // run ends with the torn-write audit; its verdict rides in the report's
 // `sharding` object. Exit code 0 iff the run sustained traffic and
-// completed operations; 2 on out-of-range deployment flags.
+// completed operations; 2 on out-of-range or unknown deployment flag
+// values.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "deploy_flags.hpp"
@@ -32,8 +32,8 @@ using deploy::arg_u64;
 int main(int argc, char** argv) {
   constexpr const char* kUsage =
       "bft_loadgen --loadgen I --loadgens L [--replicas N] [--shards S] "
-      "[--stack pbft|splitbft] [--clients C] [--base-port P | --uds-dir D] "
-      "... (N, L, S >= 1; 0 <= I < L)";
+      "[--stack pbft|splitbft] [--mode closed|open] [--clients C] "
+      "[--base-port P | --uds-dir D] ... (N, L, S >= 1; 0 <= I < L)";
   const std::uint32_t replicas = arg_u32(argc, argv, "--replicas", 4);
   const std::uint32_t loadgens = arg_u32(argc, argv, "--loadgens", 1);
   const std::uint32_t loadgen = arg_u32(argc, argv, "--loadgen", 0);
@@ -47,11 +47,11 @@ int main(int argc, char** argv) {
                       std::to_string(loadgens));
 
   workload::Options options =
-      deploy::deployment_options(argc, argv, replicas, shards);
-  options.mode = std::strcmp(deploy::arg_value(argc, argv, "--mode", "closed"),
-                             "open") == 0
-                     ? workload::LoadMode::Open
-                     : workload::LoadMode::Closed;
+      deploy::deployment_options(argc, argv, replicas, shards, kUsage);
+  options.mode =
+      deploy::arg_choice(argc, argv, "--mode", {"closed", "open"}, kUsage) == 0
+          ? workload::LoadMode::Closed
+          : workload::LoadMode::Open;
   options.think_time_us = arg_u64(argc, argv, "--think-us", 0);
   options.interarrival_us = arg_u64(argc, argv, "--interarrival-us", 20'000);
   options.warmup_us = arg_u64(argc, argv, "--warmup-ms", 500) * 1000;

@@ -11,7 +11,7 @@
 // seed — every process of a deployment derives identical keys, so nothing
 // is exchanged out of band — serves it over a TcpTransport for
 // `--run-secs`, then writes its transport counters as JSON and exits 0
-// (2 on out-of-range deployment flags).
+// (2 on out-of-range or unknown deployment flag values).
 //
 // A sharded deployment (`--shards N`) is N fully independent groups over
 // one flat address plan: this process joins shard `--shard-index` only
@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
       deploy::flat_addrs(argc, argv, shards * (replicas + loadgens)))
       [shard_index];
   const workload::Options options = workload::shard_options(
-      deploy::deployment_options(argc, argv, replicas, shards), shard_index);
+      deploy::deployment_options(argc, argv, replicas, shards, kUsage),
+      shard_index);
 
   ReplicaNode node(options, topology, replica, {});
   if (!node.start()) {

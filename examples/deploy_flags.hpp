@@ -60,16 +60,31 @@ inline void require(bool ok, const char* usage, const std::string& what) {
   return addrs;
 }
 
+/// Index of `flag`'s value in `choices` (the first choice when the flag is
+/// absent); exits 2 with the usage line on any other value.
+[[nodiscard]] inline std::size_t arg_choice(
+    int argc, char** argv, const char* flag,
+    const std::vector<const char*>& choices, const char* usage) {
+  const char* v = arg_value(argc, argv, flag, choices.front());
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    if (std::strcmp(v, choices[i]) == 0) return i;
+  }
+  require(false, usage,
+          std::string(flag) + " " + v + " is not an accepted value");
+  return 0;
+}
+
 /// Stack, clients, seed, workers, group count and protocol configuration:
 /// every process of a deployment must derive the same values.
 [[nodiscard]] inline sbft::runtime::workload::Options deployment_options(
-    int argc, char** argv, std::uint32_t replicas, std::uint32_t shards) {
+    int argc, char** argv, std::uint32_t replicas, std::uint32_t shards,
+    const char* usage) {
   using sbft::runtime::workload::Stack;
   sbft::runtime::workload::Options options;
   options.stack =
-      std::strcmp(arg_value(argc, argv, "--stack", "pbft"), "splitbft") == 0
-          ? Stack::Splitbft
-          : Stack::Pbft;
+      arg_choice(argc, argv, "--stack", {"pbft", "splitbft"}, usage) == 0
+          ? Stack::Pbft
+          : Stack::Splitbft;
   options.clients = arg_u32(argc, argv, "--clients", 1000);
   options.seed = arg_u64(argc, argv, "--seed", 42);
   options.workers = arg_u64(argc, argv, "--workers", 4);

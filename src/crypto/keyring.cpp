@@ -7,14 +7,15 @@ namespace sbft::crypto {
 
 namespace {
 
-[[nodiscard]] Bytes id_prefixed(PrincipalId id, ByteView message) {
-  Bytes data;
-  data.reserve(8 + message.size());
+/// HMAC over `id || message` (id little-endian), without copying message.
+[[nodiscard]] Digest id_prefixed_mac(const Key32& key, PrincipalId id,
+                                     ByteView message) noexcept {
+  std::array<std::uint8_t, 8> prefix;
   for (int i = 0; i < 8; ++i) {
-    data.push_back(static_cast<std::uint8_t>(id >> (8 * i)));
+    prefix[i] = static_cast<std::uint8_t>(id >> (8 * i));
   }
-  append(data, message);
-  return data;
+  return hmac_sha256_concat(ByteView{key.data(), key.size()},
+                            ByteView{prefix.data(), prefix.size()}, message);
 }
 
 class Ed25519SignerImpl final : public Signer {
@@ -61,10 +62,7 @@ class HmacSignerImpl final : public Signer {
       : id_(id), group_key_(group_key) {}
 
   [[nodiscard]] Bytes sign(ByteView message) const override {
-    const Bytes data = id_prefixed(id_, message);
-    const Digest mac = hmac_sha256(
-        ByteView{group_key_.data(), group_key_.size()},
-        ByteView{data.data(), data.size()});
+    const Digest mac = id_prefixed_mac(group_key_, id_, message);
     return Bytes(mac.bytes.begin(), mac.bytes.end());
   }
   [[nodiscard]] PrincipalId id() const noexcept override { return id_; }
@@ -83,10 +81,7 @@ class HmacVerifierImpl final : public Verifier {
   [[nodiscard]] bool verify(PrincipalId signer, ByteView message,
                             ByteView sig) const override {
     if (!known_.contains(signer)) return false;
-    const Bytes data = id_prefixed(signer, message);
-    const Digest mac = hmac_sha256(
-        ByteView{group_key_.data(), group_key_.size()},
-        ByteView{data.data(), data.size()});
+    const Digest mac = id_prefixed_mac(group_key_, signer, message);
     return ct_equal(mac.view(), sig);
   }
   [[nodiscard]] bool knows(PrincipalId signer) const override {

@@ -3,11 +3,19 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/sha256_detail.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace sbft::crypto {
+
+namespace detail {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
+alignas(16) constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -24,16 +32,7 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
   return std::rotr(x, n);
 }
 
-}  // namespace
-
-void Sha256::reset() noexcept {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  buffer_len_ = 0;
-  total_len_ = 0;
-}
-
-void Sha256::process_block(const std::uint8_t* block) noexcept {
+void process_block(Sha256State& state, const std::uint8_t* block) noexcept {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
@@ -49,7 +48,7 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  auto [a, b, c, d, e, f, g, h] = state;
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -66,14 +65,115 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+// SHA-NI compression after Intel's reference flow (Gulley et al., "Intel
+// SHA Extensions"). sha256rnds2 runs two rounds on the state split as
+// ABEF/CDGH; each of the 16 groups below runs four rounds on one message
+// vector and advances the schedule three vectors ahead with sha256msg1/2.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
+    Sha256State& state, const std::uint8_t* data,
+    std::size_t blocks) noexcept {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1b);
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i abef = _mm_alignr_epi8(cdab, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i msg[4];
+    for (int i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+          byteswap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      const __m128i cur = msg[g % 4];
+      const __m128i wk = _mm_add_epi32(
+          cur, _mm_load_si128(
+                   reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (g >= 3 && g <= 14) {
+        __m128i& next = msg[(g + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, msg[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+      if (g >= 1 && g <= 12) {
+        __m128i& prev = msg[(g + 3) % 4];
+        prev = _mm_sha256msg1_epu32(prev, cur);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif
+
+}  // namespace
+
+void sha256_compress_portable(Sha256State& state, const std::uint8_t* data,
+                              std::size_t blocks) noexcept {
+  for (; blocks > 0; --blocks, data += 64) process_block(state, data);
+}
+
+Sha256Compress sha256_compress_hw() noexcept {
+#if defined(__x86_64__)
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") &&
+           __builtin_cpu_supports("sse4.1") && __builtin_cpu_supports("ssse3");
+  }();
+  return supported ? &compress_shani : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const char* sha256_impl_name() noexcept {
+  return sha256_compress_hw() ? "sha-ni" : "portable";
+}
+
+}  // namespace detail
+
+void Sha256::reset() noexcept {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  buffer_len_ = 0;
+  total_len_ = 0;
+}
+
+void Sha256::compress(const std::uint8_t* blocks, std::size_t count) noexcept {
+  static const detail::Sha256Compress chosen = [] {
+    const detail::Sha256Compress hw = detail::sha256_compress_hw();
+    return hw ? hw : &detail::sha256_compress_portable;
+  }();
+  chosen(state_, blocks, count);
 }
 
 void Sha256::update(ByteView data) noexcept {
@@ -88,13 +188,14 @@ void Sha256::update(ByteView data) noexcept {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      compress(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (data.size() - offset >= 64) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t whole_blocks = (data.size() - offset) / 64;
+  if (whole_blocks > 0) {
+    compress(data.data() + offset, whole_blocks);
+    offset += whole_blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -103,18 +204,20 @@ void Sha256::update(ByteView data) noexcept {
 }
 
 Digest Sha256::finalize() noexcept {
+  // update() never leaves a full buffer, so the 0x80 marker always fits;
+  // when the 8-byte length no longer does, it goes in one more block.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView{&pad_byte, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(ByteView{&zero, 1});
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  std::array<std::uint8_t, 8> len_bytes;
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(ByteView{len_bytes.data(), len_bytes.size()});
+  compress(buffer_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -1,4 +1,6 @@
-// SHA-256 (FIPS 180-4). Streaming and one-shot interfaces.
+// SHA-256 (FIPS 180-4). Streaming and one-shot interfaces. Blocks are
+// compressed with the x86 SHA extensions when CPUID reports them, and with
+// portable code otherwise; the digests are the same either way.
 #pragma once
 
 #include <array>
@@ -18,7 +20,9 @@ class Sha256 {
   [[nodiscard]] Digest finalize() noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
+  /// Runs `count` consecutive 64-byte blocks through the compression
+  /// function chosen by CPUID (see sha256_detail.hpp).
+  void compress(const std::uint8_t* blocks, std::size_t count) noexcept;
 
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};

@@ -123,18 +123,20 @@ void Sha512::update(ByteView data) noexcept {
 Digest64 Sha512::finalize() noexcept {
   // SHA-512 length field is 128 bits; message lengths here never exceed
   // 2^64-1 bits, so the upper half is always zero.
+  // update() never leaves a full buffer, so the 0x80 marker always fits;
+  // when the 16-byte length no longer does, it goes in one more block.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView{&pad_byte, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 112) {
-    update(ByteView{&zero, 1});
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_.data() + buffer_len_, 0, 128 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::array<std::uint8_t, 16> len_bytes{};
+  std::memset(buffer_.data() + buffer_len_, 0, 120 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[120 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(ByteView{len_bytes.data(), len_bytes.size()});
+  process_block(buffer_.data());
 
   Digest64 out;
   for (int i = 0; i < 8; ++i) {

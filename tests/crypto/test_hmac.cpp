@@ -20,15 +20,39 @@ TEST(HmacSha256, Rfc4231Case2) {
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
 }
 
-TEST(HmacSha256, LongKeyIsHashed) {
-  // Keys longer than the block size are hashed first; equivalent key gives
-  // the same MAC.
-  const Bytes long_key(100, 0xaa);
-  const Bytes data = to_bytes("payload");
-  const Digest direct = hmac_sha256(long_key, data);
-  const Digest hashed_key = sha256(long_key);
-  const Digest via_hash = hmac_sha256(hashed_key.view(), data);
-  EXPECT_EQ(direct, via_hash);
+TEST(HmacSha256, Rfc4231Case3) {
+  const Bytes key(20, 0xaa);
+  const Bytes data(50, 0xdd);
+  EXPECT_EQ(hmac_sha256(key, data).hex(),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+}
+
+TEST(HmacSha256, Rfc4231Case4) {
+  Bytes key;
+  for (std::uint8_t b = 0x01; b <= 0x19; ++b) key.push_back(b);
+  const Bytes data(50, 0xcd);
+  EXPECT_EQ(hmac_sha256(key, data).hex(),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+}
+
+TEST(HmacSha256, Rfc4231Case6) {
+  // A 131-byte key is longer than the block and is hashed first.
+  const Bytes key(131, 0xaa);
+  const Bytes data =
+      to_bytes("Test Using Larger Than Block-Size Key - Hash Key First");
+  EXPECT_EQ(hmac_sha256(key, data).hex(),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacSha256, Rfc4231Case7) {
+  // Long key and 152 bytes of data: the inner hash spans several blocks.
+  const Bytes key(131, 0xaa);
+  const Bytes data = to_bytes(
+      "This is a test using a larger than block-size key and a larger than "
+      "block-size data. The key needs to be hashed before being used by the "
+      "HMAC algorithm.");
+  EXPECT_EQ(hmac_sha256(key, data).hex(),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
 TEST(HmacSha256, KeySensitivity) {

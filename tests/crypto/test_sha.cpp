@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_detail.hpp"
 #include "crypto/sha512.hpp"
 
 namespace sbft::crypto {
@@ -44,12 +48,51 @@ TEST(Sha256, StreamingMatchesOneShot) {
 }
 
 TEST(Sha256, ExactBlockBoundaries) {
-  // 55/56/63/64/65 bytes exercise all padding paths.
-  for (const std::size_t n : {55u, 56u, 63u, 64u, 65u, 119u, 120u}) {
-    Bytes data(n, 0x61);
-    Sha256 h;
-    h.update(data);
-    EXPECT_EQ(h.finalize(), sha256(data)) << "n=" << n;
+  // Lengths of 'a' around the 55/56-byte padding split and the 64-byte
+  // block edge, one- and two-block, against hashlib's answers.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {119,
+       "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120,
+       "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+      {1000,
+       "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3"},
+  };
+  for (const auto& [n, hex] : cases) {
+    EXPECT_EQ(sha256(Bytes(n, 0x61)).hex(), hex) << "n=" << n;
+  }
+}
+
+TEST(Sha256, MillionAVector) {
+  // FIPS 180-4 long-message vector: one update of 15625 whole blocks.
+  EXPECT_EQ(sha256(Bytes(1'000'000, 0x61)).hex(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, HardwareCompressionMatchesPortable) {
+  const detail::Sha256Compress hw = detail::sha256_compress_hw();
+  if (hw == nullptr) {
+    GTEST_SKIP() << "no SHA-NI compression here (CPUID lacks the SHA "
+                    "extensions or the build is not x86-64); Sha256 uses "
+                    << detail::sha256_impl_name();
+  }
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t blocks = 1 + rng.below(17);
+    const Bytes data = rng.bytes(64 * blocks);
+    detail::Sha256State start;
+    for (auto& word : start) word = static_cast<std::uint32_t>(rng.next_u64());
+    detail::Sha256State portable = start;
+    detail::Sha256State hardware = start;
+    detail::sha256_compress_portable(portable, data.data(), blocks);
+    hw(hardware, data.data(), blocks);
+    EXPECT_EQ(hardware, portable) << "trial=" << trial << " blocks=" << blocks;
   }
 }
 
