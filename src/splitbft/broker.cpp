@@ -156,13 +156,14 @@ void Broker::deliver_to(Compartment c, const net::Envelope& env, Out& out) {
       local_queue_.push_back(std::move(emitted));
     } else {
       // Replies pass the broker on their way out; clear suspicion timers
-      // (pure liveness bookkeeping on untrusted data).
+      // (pure liveness bookkeeping on untrusted data). A Reply retires its
+      // client's requests up to its timestamp, which under the
+      // (client, timestamp) key order is one contiguous range.
       if (emitted.type == pbft::tag(pbft::MsgType::Reply)) {
         if (auto reply = pbft::Reply::deserialize(emitted.payload)) {
-          std::erase_if(outstanding_, [&reply](const auto& kv) {
-            return kv.first.first == reply->client &&
-                   kv.first.second <= reply->timestamp;
-          });
+          outstanding_.erase(
+              outstanding_.lower_bound({reply->client, Timestamp{0}}),
+              outstanding_.upper_bound({reply->client, reply->timestamp}));
         }
       }
       out.push_back(std::move(emitted));

@@ -121,6 +121,9 @@ class Broker final : public runtime::Actor {
   std::deque<pbft::Request> pending_reads_;
   Micros read_batch_deadline_{0};
   // Suspicion timers + request copies for post-view-change re-proposal.
+  // Ordered by (client, timestamp) on purpose: the requests one Reply
+  // retires form a single key range, erased in O(log n + k). Do not
+  // reorder the key or swap in a hashed container.
   std::map<std::pair<ClientId, Timestamp>, Outstanding> outstanding_;
   std::deque<net::Envelope> local_queue_;
   // Set when the local Preparation enclave emits a NewView (it is the new

@@ -317,5 +317,80 @@ TEST(EnclaveAdapter, MeasurementMatchesCompartmentType) {
             compartment_measurement(Compartment::Execution));
 }
 
+// Stand-in compartment for broker tests: answers every ecall with a
+// preset outbox (empty unless the test sets one).
+class ScriptedEnclave final : public tee::Enclave {
+ public:
+  explicit ScriptedEnclave(std::shared_ptr<std::vector<net::Envelope>> outbox)
+      : outbox_(std::move(outbox)) {}
+  [[nodiscard]] Digest measurement() const override { return {}; }
+  [[nodiscard]] Bytes ecall(std::uint32_t, ByteView) override {
+    return encode_outbox(*outbox_);
+  }
+
+ private:
+  std::shared_ptr<std::vector<net::Envelope>> outbox_;
+};
+
+// A Reply retires exactly its own client's requests at or below its
+// timestamp: nothing of a neighbouring client, nothing newer.
+TEST(Broker, ReplyRetiresOnlyItsClientsOlderRequests) {
+  Fixture fx;
+  const auto scripted = [](std::shared_ptr<std::vector<net::Envelope>> out) {
+    return std::make_unique<tee::EnclaveHost>(
+        std::make_unique<ScriptedEnclave>(std::move(out)),
+        tee::CostModel::simulation(), false);
+  };
+  const auto silent = std::make_shared<std::vector<net::Envelope>>();
+  const auto exec_out = std::make_shared<std::vector<net::Envelope>>();
+  Broker broker(fx.config, 0, scripted(silent), scripted(silent),
+                scripted(exec_out));
+
+  const ClientId c = kFirstClientId + 1;
+  Micros now = 1;
+  for (const ClientId client : {c - 1, c, c + 1}) {
+    for (Timestamp ts = 1; ts <= 3; ++ts) {
+      net::Envelope env;
+      env.src = principal::client(client);
+      env.dst = principal::enclave({0, Compartment::Preparation});
+      env.type = pbft::tag(pbft::MsgType::Request);
+      env.payload = fx.make_request(client, ts).serialize();
+      (void)broker.handle(env, now++);
+    }
+  }
+  ASSERT_EQ(broker.outstanding_count(), 9u);
+
+  // Execution emits `payload` as a Reply to `client` when poked.
+  const auto exec_replies = [&](ClientId client, Bytes payload) {
+    net::Envelope reply;
+    reply.src = principal::enclave({0, Compartment::Execution});
+    reply.dst = principal::client(client);
+    reply.type = pbft::tag(pbft::MsgType::Reply);
+    reply.payload = std::move(payload);
+    *exec_out = {reply};
+    net::Envelope poke;
+    poke.dst = principal::enclave({0, Compartment::Execution});
+    poke.type = pbft::tag(pbft::MsgType::Commit);
+    const auto out = broker.handle(poke, now++);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].type, pbft::tag(pbft::MsgType::Reply));
+  };
+  const auto reply_for = [](ClientId client, Timestamp ts) {
+    pbft::Reply reply;
+    reply.client = client;
+    reply.timestamp = ts;
+    return reply.serialize();
+  };
+
+  exec_replies(c, reply_for(c, 2));
+  EXPECT_EQ(broker.outstanding_count(), 7u);  // c@3 and both neighbours
+  exec_replies(c + 2, reply_for(c + 2, 5));
+  EXPECT_EQ(broker.outstanding_count(), 7u);  // nothing outstanding there
+  exec_replies(c, reply_for(c, UINT64_MAX));
+  EXPECT_EQ(broker.outstanding_count(), 6u);  // c@3 retired
+  exec_replies(c - 1, to_bytes("not a reply"));
+  EXPECT_EQ(broker.outstanding_count(), 6u);
+}
+
 }  // namespace
 }  // namespace sbft::splitbft

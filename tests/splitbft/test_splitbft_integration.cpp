@@ -129,6 +129,12 @@ TEST(SplitbftIntegration, MultipleClients) {
   const auto& app =
       dynamic_cast<const CounterApp&>(cluster.replica(0).exec().app());
   EXPECT_EQ(app.value(), 4u);
+  // Every broker drained: each Reply retired its request, so no suspicion
+  // timer or batch entry is left behind to eat admission headroom.
+  for (ReplicaId r = 0; r < options.config.n; ++r) {
+    EXPECT_EQ(cluster.replica(r).broker().outstanding_count(), 0u) << r;
+    EXPECT_EQ(cluster.replica(r).broker().pending_batch_size(), 0u) << r;
+  }
 }
 
 TEST(SplitbftIntegration, ConfidentialityFromEnvironment) {
