@@ -24,6 +24,7 @@ Usage:
   python3 bench/run_cluster.py [--build-dir build] [--smoke]
                                [--clients N] [--replicas N]
                                [--shards N] [--cross-fraction F]
+                               [--workers N]
                                [--out BENCH_transport.json]
 """
 
@@ -50,6 +51,9 @@ def parse_args():
                    dest="cross_fraction",
                    help="fraction of ops issued as multi-key transactions "
                         "(enables the torn-write audit when > 0)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="execution-runner workers per replica, passed to "
+                        "bft_replica (default: its own, 1 = serial)")
     p.add_argument("--base-port", type=int, default=18100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="BENCH_transport.json")
@@ -76,6 +80,9 @@ def run_stack(stack, args, base_port, tmp):
               "--base-port", str(base_port), "--seed", str(args.seed),
               "--shards", str(args.shards)]
 
+    replica_flags = [] if args.workers is None else \
+        ["--workers", str(args.workers)]
+
     replicas = []
     stats_paths = []
     for s in range(args.shards):
@@ -87,7 +94,7 @@ def run_stack(stack, args, base_port, tmp):
                 [str(replica_bin), "--replica", str(r),
                  "--shard-index", str(s),
                  "--run-secs", str(run_secs), "--stats-out", str(stats)]
-                + common,
+                + replica_flags + common,
                 stdout=log, stderr=log))
     time.sleep(0.5)  # let every replica bind before the loadgen dials
 
@@ -178,6 +185,7 @@ def main():
         "replicas": args.replicas,
         "shards": args.shards,
         "cross_fraction": args.cross_fraction,
+        "workers": args.workers,
         "clients": args.clients or (200 if args.smoke else 1000),
         "stacks": results,
     }

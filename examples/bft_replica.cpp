@@ -3,7 +3,7 @@
 //   bft_replica --stack pbft --replica 0 --replicas 4 --loadgens 1 ...
 //   ...       [--shards 1 --shard-index 0] ...
 //   ...       --clients 1000 --base-port 18000 [--host 127.0.0.1] ...
-//   ...       [--uds-dir /tmp/sbft] [--seed 42] [--workers 4] ...
+//   ...       [--uds-dir /tmp/sbft] [--seed 42] [--workers 1] ...
 //   ...       [--batch-max 200] [--pipeline-depth 8] ...
 //   ...       --run-secs 10 [--stats-out replica0.json]
 //
@@ -12,6 +12,10 @@
 // is exchanged out of band — serves it over a TcpTransport for
 // `--run-secs`, then writes its transport counters as JSON and exits 0
 // (2 on out-of-range or unknown deployment flag values).
+//
+// `--workers` sizes the execution runner that builds replies: 0 or 1 builds
+// them on the engine thread (the default), N >= 2 hands them to N runner
+// threads.
 //
 // A sharded deployment (`--shards N`) is N fully independent groups over
 // one flat address plan: this process joins shard `--shard-index` only

@@ -87,7 +87,7 @@ inline void require(bool ok, const char* usage, const std::string& what) {
           : Stack::Splitbft;
   options.clients = arg_u32(argc, argv, "--clients", 1000);
   options.seed = arg_u64(argc, argv, "--seed", 42);
-  options.workers = arg_u64(argc, argv, "--workers", 4);
+  options.workers = arg_u64(argc, argv, "--workers", 1);
   options.shards = shards;
   options.protocol.n = replicas;
   options.protocol.f = (replicas - 1) / 3;

@@ -67,8 +67,8 @@ struct PbftClusterOptions {
   crypto::Scheme scheme{crypto::Scheme::HmacShared};
   sim::LinkParams link_params{};
   std::uint64_t client_master_secret{0x5ec7e7};
-  /// Staged execution-runner workers per replica: 0 = serial
-  /// SyncOrderedRunner (reference path), N >= 1 = SpinOrderedRunner with N
+  /// Staged execution-runner workers per replica: 0 or 1 = serial
+  /// SyncOrderedRunner (reference path), N >= 2 = SpinOrderedRunner with N
   /// threads. Output is byte-identical either way; the parallel runner is
   /// safe under the sim because replicas drain it before returning.
   std::size_t exec_workers{0};

@@ -223,7 +223,7 @@ void SpinOrderedRunner::reset_stats() {
 }
 
 std::shared_ptr<OrderedRunner> make_runner(std::size_t workers) {
-  if (workers == 0) return std::make_shared<SyncOrderedRunner>();
+  if (workers <= 1) return std::make_shared<SyncOrderedRunner>();
   return std::make_shared<SpinOrderedRunner>(workers);
 }
 

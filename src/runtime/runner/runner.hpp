@@ -114,7 +114,10 @@ class SpinOrderedRunner final : public OrderedRunner {
   std::unique_ptr<Impl> impl_;
 };
 
-/// workers == 0 -> SyncOrderedRunner, otherwise SpinOrderedRunner(workers).
+/// workers <= 1 -> SyncOrderedRunner, otherwise SpinOrderedRunner(workers).
+/// One worker is serial on purpose: the engine waits in drain() for every
+/// prologue anyway, so a lone helper thread only moves each unit across a
+/// core and back (the perf model charges exec_workers = 1 as serial too).
 [[nodiscard]] std::shared_ptr<OrderedRunner> make_runner(std::size_t workers);
 
 }  // namespace sbft::runtime::runner

@@ -60,7 +60,7 @@ struct SplitClusterOptions {
   tee::CostModel cost_model{tee::CostModel::sgx()};
   std::uint64_t client_master_secret{0x5ec7e7};
   /// Execution-compartment staged-runner workers (see
-  /// PbftClusterOptions::exec_workers; 0 = serial reference path).
+  /// PbftClusterOptions::exec_workers; <= 1 = serial reference path).
   std::size_t exec_workers{0};
   /// Per-replica byzantine-compartment injection. The decorator receives
   /// the enclave signer so attacks can craft validly signed messages.

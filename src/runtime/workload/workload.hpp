@@ -92,9 +92,9 @@ struct Options {
   /// Protocol configuration (n, f, batch_max, pipeline_depth, ...).
   pbft::Config protocol{};
   /// Execution-runner workers per replica: sizes the PBFT worker pool /
-  /// SplitBFT in-enclave exec stage in the sim perf model, and the
-  /// SpinOrderedRunner thread count in the threaded driver. 0 = serial
-  /// reference path (SyncOrderedRunner; sim books one worker).
+  /// SplitBFT in-enclave exec stage in the sim perf model, and the runner
+  /// of every replica: 0 or 1 = serial SyncOrderedRunner, N >= 2 =
+  /// SpinOrderedRunner with N threads.
   std::size_t workers{4};
   Micros warmup_us{200'000};
   Micros measure_us{1'000'000};

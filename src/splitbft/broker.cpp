@@ -243,8 +243,11 @@ void Broker::on_client_request(const net::Envelope& env, Micros now,
   Outstanding tracked;
   tracked.request = *req;
   tracked.deadline = now + config_.request_timeout_us;
-  outstanding_.emplace(std::make_pair(req->client, req->timestamp),
-                       std::move(tracked));
+  const auto [slot, inserted] = outstanding_.emplace(
+      std::make_pair(req->client, req->timestamp), std::move(tracked));
+  if (inserted) {
+    next_deadline_ = std::min(next_deadline_, slot->second.deadline);
+  }
   pending_batch_[{req->client, req->timestamp}] = std::move(*req);
   if (pending_batch_.size() >= config_.batch_max || config_.batch_max <= 1) {
     cut_batch(now, out);
@@ -374,26 +377,34 @@ std::vector<net::Envelope> Broker::tick(Micros now) {
   }
   // Fire at most one suspicion per sweep, with exponential backoff (the
   // PBFT view-change timeout doubling), and re-queue expired requests for
-  // the (possibly new) primary to propose.
-  bool suspected = false;
-  bool requeued = false;
-  for (auto& [key, tracked] : outstanding_) {
-    if (now < tracked.deadline) continue;
-    tracked.backoff = std::min<std::uint32_t>(tracked.backoff * 2, 64);
-    tracked.deadline =
-        now + config_.request_timeout_us * tracked.backoff;
-    if (!pending_batch_.contains(key)) {
-      pending_batch_[key] = tracked.request;
-      requeued = true;
+  // the (possibly new) primary to propose. No deadline is due before
+  // next_deadline_, so the walk is skipped until then.
+  if (now >= next_deadline_) {
+    bool suspected = false;
+    bool requeued = false;
+    Micros earliest = std::numeric_limits<Micros>::max();
+    for (auto& [key, tracked] : outstanding_) {
+      if (now >= tracked.deadline) {
+        tracked.backoff = std::min<std::uint32_t>(tracked.backoff * 2, 64);
+        tracked.deadline =
+            now + config_.request_timeout_us * tracked.backoff;
+        if (!pending_batch_.contains(key)) {
+          pending_batch_[key] = tracked.request;
+          requeued = true;
+        }
+        if (!suspected) {
+          suspected = true;
+          net::Envelope env;
+          env.dst = principal::enclave({self_, Compartment::Confirmation});
+          env.type = tag(LocalMsg::SuspectPrimary);
+          deliver_to(Compartment::Confirmation, env, out);
+        }
+      }
+      earliest = std::min(earliest, tracked.deadline);
     }
-    if (suspected) continue;
-    suspected = true;
-    net::Envelope env;
-    env.dst = principal::enclave({self_, Compartment::Confirmation});
-    env.type = tag(LocalMsg::SuspectPrimary);
-    deliver_to(Compartment::Confirmation, env, out);
+    next_deadline_ = earliest;
+    if (requeued) cut_batch(now, out);
   }
-  if (requeued) cut_batch(now, out);
   while (!local_queue_.empty()) {
     net::Envelope next = std::move(local_queue_.front());
     local_queue_.pop_front();

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -125,6 +126,11 @@ class Broker final : public runtime::Actor {
   // retires form a single key range, erased in O(log n + k). Do not
   // reorder the key or swap in a hashed container.
   std::map<std::pair<ClientId, Timestamp>, Outstanding> outstanding_;
+  // Lower bound on every outstanding deadline: tick() skips the suspicion
+  // walk while `now` is below it. Lowered on insert and recomputed by each
+  // walk; a Reply's erase leaves it stale (too low), which costs at most
+  // one walk that finds nothing due.
+  Micros next_deadline_{std::numeric_limits<Micros>::max()};
   std::deque<net::Envelope> local_queue_;
   // Set when the local Preparation enclave emits a NewView (it is the new
   // primary): outstanding requests are re-proposed right after.

@@ -41,8 +41,8 @@ struct ReplicaOptions {
   /// Broker-side pre-verification of inbound wire signatures (DoS defense;
   /// costs one extra verification per honest message, so default off).
   bool broker_ingress_filter{false};
-  /// Staged execution pipeline inside the Execution enclave: 0 = serial
-  /// SyncOrderedRunner (deterministic reference), N >= 1 = N
+  /// Staged execution pipeline inside the Execution enclave: 0 or 1 =
+  /// serial SyncOrderedRunner (deterministic reference), N >= 2 = N
   /// SpinOrderedRunner worker threads sealing/signing replies and serving
   /// coalesced reads in parallel.
   std::size_t exec_workers{0};

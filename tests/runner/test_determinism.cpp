@@ -19,7 +19,8 @@
 namespace sbft::runtime {
 namespace {
 
-constexpr std::size_t kWorkerCounts[] = {1, 4, 8};
+// Threaded counts only: make_runner(1) is the serial reference itself.
+constexpr std::size_t kWorkerCounts[] = {2, 4, 8};
 constexpr std::size_t kDepths[] = {1, 4};
 
 [[nodiscard]] apps::AppFactory kv_factory() {

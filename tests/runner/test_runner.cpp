@@ -131,11 +131,28 @@ TEST(SpinRunner, DrainOnEmptyQueueIsANoop) {
   EXPECT_EQ(runner.stats().drained, 0u);
 }
 
-TEST(MakeRunner, ZeroMeansSerialOtherwiseSpin) {
-  EXPECT_EQ(make_runner(0)->workers(), 0u);
-  EXPECT_NE(dynamic_cast<SyncOrderedRunner*>(make_runner(0).get()), nullptr);
-  EXPECT_EQ(make_runner(3)->workers(), 3u);
-  EXPECT_NE(dynamic_cast<SpinOrderedRunner*>(make_runner(3).get()), nullptr);
+TEST(MakeRunner, AtMostOneWorkerIsSerial) {
+  for (const std::size_t workers : {0u, 1u}) {
+    const auto runner = make_runner(workers);
+    EXPECT_NE(dynamic_cast<SyncOrderedRunner*>(runner.get()), nullptr)
+        << workers;
+    EXPECT_EQ(runner->workers(), 0u) << workers;
+    // Serial means the prologue runs on the submitting thread.
+    const auto caller = std::this_thread::get_id();
+    bool on_caller = false;
+    runner->submit([caller, &on_caller]() -> Epilogue {
+      on_caller = std::this_thread::get_id() == caller;
+      return [] {};
+    });
+    runner->drain();
+    EXPECT_TRUE(on_caller) << workers;
+  }
+  for (const std::size_t workers : {2u, 3u}) {
+    const auto runner = make_runner(workers);
+    EXPECT_NE(dynamic_cast<SpinOrderedRunner*>(runner.get()), nullptr)
+        << workers;
+    EXPECT_EQ(runner->workers(), workers);
+  }
 }
 
 // -------------------------------------------------------------- Gauge

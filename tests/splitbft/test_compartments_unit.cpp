@@ -2,6 +2,8 @@
 // input validation, quorum thresholds, GC, and the broker's routing rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/counter_app.hpp"
 #include "crypto/sha256.hpp"
 #include "pbft/client_directory.hpp"
@@ -318,78 +320,167 @@ TEST(EnclaveAdapter, MeasurementMatchesCompartmentType) {
 }
 
 // Stand-in compartment for broker tests: answers every ecall with a
-// preset outbox (empty unless the test sets one).
+// preset outbox (empty unless the test sets one) and, given an inbox,
+// records the type of every envelope delivered to it.
 class ScriptedEnclave final : public tee::Enclave {
  public:
-  explicit ScriptedEnclave(std::shared_ptr<std::vector<net::Envelope>> outbox)
-      : outbox_(std::move(outbox)) {}
+  explicit ScriptedEnclave(
+      std::shared_ptr<std::vector<net::Envelope>> outbox,
+      std::shared_ptr<std::vector<std::uint32_t>> inbox = nullptr)
+      : outbox_(std::move(outbox)), inbox_(std::move(inbox)) {}
   [[nodiscard]] Digest measurement() const override { return {}; }
-  [[nodiscard]] Bytes ecall(std::uint32_t, ByteView) override {
+  [[nodiscard]] Bytes ecall(std::uint32_t, ByteView input) override {
+    if (inbox_) {
+      if (auto env = net::Envelope::deserialize(input)) {
+        inbox_->push_back(env->type);
+      }
+    }
     return encode_outbox(*outbox_);
   }
 
  private:
   std::shared_ptr<std::vector<net::Envelope>> outbox_;
+  std::shared_ptr<std::vector<std::uint32_t>> inbox_;
 };
+
+[[nodiscard]] std::unique_ptr<tee::EnclaveHost> scripted_host(
+    std::shared_ptr<std::vector<net::Envelope>> outbox,
+    std::shared_ptr<std::vector<std::uint32_t>> inbox = nullptr) {
+  return std::make_unique<tee::EnclaveHost>(
+      std::make_unique<ScriptedEnclave>(std::move(outbox), std::move(inbox)),
+      tee::CostModel::simulation(), false);
+}
+
+[[nodiscard]] net::Envelope request_envelope(Fixture& fx, ClientId client,
+                                             Timestamp ts) {
+  net::Envelope env;
+  env.src = principal::client(client);
+  env.dst = principal::enclave({0, Compartment::Preparation});
+  env.type = pbft::tag(pbft::MsgType::Request);
+  env.payload = fx.make_request(client, ts).serialize();
+  return env;
+}
+
+[[nodiscard]] Bytes reply_for(ClientId client, Timestamp ts) {
+  pbft::Reply reply;
+  reply.client = client;
+  reply.timestamp = ts;
+  return reply.serialize();
+}
+
+/// Has the scripted Execution enclave (whose outbox is `exec_out`) emit
+/// `payload` as a Reply to `client`, and returns what the broker sent.
+std::vector<net::Envelope> exec_replies(
+    Broker& broker, std::vector<net::Envelope>& exec_out, ClientId client,
+    Bytes payload, Micros now) {
+  net::Envelope reply;
+  reply.src = principal::enclave({0, Compartment::Execution});
+  reply.dst = principal::client(client);
+  reply.type = pbft::tag(pbft::MsgType::Reply);
+  reply.payload = std::move(payload);
+  exec_out = {reply};
+  net::Envelope poke;
+  poke.dst = principal::enclave({0, Compartment::Execution});
+  poke.type = pbft::tag(pbft::MsgType::Commit);
+  auto out = broker.handle(poke, now);
+  exec_out.clear();
+  return out;
+}
 
 // A Reply retires exactly its own client's requests at or below its
 // timestamp: nothing of a neighbouring client, nothing newer.
 TEST(Broker, ReplyRetiresOnlyItsClientsOlderRequests) {
   Fixture fx;
-  const auto scripted = [](std::shared_ptr<std::vector<net::Envelope>> out) {
-    return std::make_unique<tee::EnclaveHost>(
-        std::make_unique<ScriptedEnclave>(std::move(out)),
-        tee::CostModel::simulation(), false);
-  };
   const auto silent = std::make_shared<std::vector<net::Envelope>>();
   const auto exec_out = std::make_shared<std::vector<net::Envelope>>();
-  Broker broker(fx.config, 0, scripted(silent), scripted(silent),
-                scripted(exec_out));
+  Broker broker(fx.config, 0, scripted_host(silent), scripted_host(silent),
+                scripted_host(exec_out));
 
   const ClientId c = kFirstClientId + 1;
   Micros now = 1;
   for (const ClientId client : {c - 1, c, c + 1}) {
     for (Timestamp ts = 1; ts <= 3; ++ts) {
-      net::Envelope env;
-      env.src = principal::client(client);
-      env.dst = principal::enclave({0, Compartment::Preparation});
-      env.type = pbft::tag(pbft::MsgType::Request);
-      env.payload = fx.make_request(client, ts).serialize();
-      (void)broker.handle(env, now++);
+      (void)broker.handle(request_envelope(fx, client, ts), now++);
     }
   }
   ASSERT_EQ(broker.outstanding_count(), 9u);
 
-  // Execution emits `payload` as a Reply to `client` when poked.
-  const auto exec_replies = [&](ClientId client, Bytes payload) {
-    net::Envelope reply;
-    reply.src = principal::enclave({0, Compartment::Execution});
-    reply.dst = principal::client(client);
-    reply.type = pbft::tag(pbft::MsgType::Reply);
-    reply.payload = std::move(payload);
-    *exec_out = {reply};
-    net::Envelope poke;
-    poke.dst = principal::enclave({0, Compartment::Execution});
-    poke.type = pbft::tag(pbft::MsgType::Commit);
-    const auto out = broker.handle(poke, now++);
+  const auto expect_reply = [&](ClientId client, Bytes payload) {
+    const auto out =
+        exec_replies(broker, *exec_out, client, std::move(payload), now++);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].type, pbft::tag(pbft::MsgType::Reply));
   };
-  const auto reply_for = [](ClientId client, Timestamp ts) {
-    pbft::Reply reply;
-    reply.client = client;
-    reply.timestamp = ts;
-    return reply.serialize();
+
+  expect_reply(c, reply_for(c, 2));
+  EXPECT_EQ(broker.outstanding_count(), 7u);  // c@3 and both neighbours
+  expect_reply(c + 2, reply_for(c + 2, 5));
+  EXPECT_EQ(broker.outstanding_count(), 7u);  // nothing outstanding there
+  expect_reply(c, reply_for(c, UINT64_MAX));
+  EXPECT_EQ(broker.outstanding_count(), 6u);  // c@3 retired
+  expect_reply(c - 1, to_bytes("not a reply"));
+  EXPECT_EQ(broker.outstanding_count(), 6u);
+}
+
+// A request's suspicion fires at the first tick at or after its deadline
+// and not before, and requeues it for the primary. The broker skips its
+// suspicion walk below a lower bound on the deadlines; a Reply retiring an
+// earlier request leaves that bound stale, which must neither delay nor
+// drop a later request's suspicion, and a fresh request with an earlier
+// deadline must pull the bound back down.
+TEST(Broker, SuspicionFiresAtFirstTickAtOrAfterDeadline) {
+  Fixture fx;
+  fx.config.request_timeout_us = 1'000;
+  fx.config.batch_timeout_us = 1;  // every tick cuts what is pending
+  const auto silent = std::make_shared<std::vector<net::Envelope>>();
+  const auto exec_out = std::make_shared<std::vector<net::Envelope>>();
+  const auto prep_in = std::make_shared<std::vector<std::uint32_t>>();
+  const auto conf_in = std::make_shared<std::vector<std::uint32_t>>();
+  Broker broker(fx.config, 0, scripted_host(silent, prep_in),
+                scripted_host(silent, conf_in), scripted_host(exec_out));
+
+  struct TickResult {
+    std::ptrdiff_t suspicions;
+    std::ptrdiff_t batches;
+  };
+  const auto tick = [&](Micros now) {
+    prep_in->clear();
+    conf_in->clear();
+    (void)broker.tick(now);
+    return TickResult{
+        std::count(conf_in->begin(), conf_in->end(),
+                   tag(LocalMsg::SuspectPrimary)),
+        std::count(prep_in->begin(), prep_in->end(), tag(LocalMsg::Batch))};
+  };
+  const auto expect_quiet = [&](Micros now) {
+    EXPECT_EQ(tick(now).suspicions, 0) << "t=" << now;
+    EXPECT_EQ(broker.pending_batch_size(), 0u) << "t=" << now;
+  };
+  const auto expect_suspicion = [&](Micros now) {
+    const TickResult r = tick(now);
+    EXPECT_EQ(r.suspicions, 1) << "t=" << now;
+    EXPECT_EQ(r.batches, 1) << "requeue at t=" << now;
   };
 
-  exec_replies(c, reply_for(c, 2));
-  EXPECT_EQ(broker.outstanding_count(), 7u);  // c@3 and both neighbours
-  exec_replies(c + 2, reply_for(c + 2, 5));
-  EXPECT_EQ(broker.outstanding_count(), 7u);  // nothing outstanding there
-  exec_replies(c, reply_for(c, UINT64_MAX));
-  EXPECT_EQ(broker.outstanding_count(), 6u);  // c@3 retired
-  exec_replies(c - 1, to_bytes("not a reply"));
-  EXPECT_EQ(broker.outstanding_count(), 6u);
+  const ClientId a = kFirstClientId;
+  const ClientId b = kFirstClientId + 1;
+  const ClientId c = kFirstClientId + 2;
+  (void)broker.handle(request_envelope(fx, a, 1), 100);  // due at 1'100
+  (void)broker.handle(request_envelope(fx, b, 1), 500);  // due at 1'500
+  (void)exec_replies(broker, *exec_out, a, reply_for(a, 1), 600);
+  ASSERT_EQ(broker.outstanding_count(), 1u);
+
+  expect_quiet(1'099);  // cuts the first batch
+  expect_quiet(1'100);  // the stale bound: nothing is due
+  expect_quiet(1'499);
+  expect_suspicion(1'500);  // b; backs off to 1'500 + 2 * 1'000 = 3'500
+
+  (void)broker.handle(request_envelope(fx, c, 1), 2'000);  // due at 3'000
+  expect_quiet(2'999);
+  expect_suspicion(3'000);  // c, ahead of b's backed-off deadline
+  expect_quiet(3'499);
+  expect_suspicion(3'500);  // b again
+  EXPECT_EQ(broker.outstanding_count(), 2u);
 }
 
 }  // namespace
