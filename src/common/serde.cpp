@@ -1,25 +1,24 @@
 #include "common/serde.hpp"
 
+#include <array>
 #include <limits>
 
 namespace sbft {
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+template <std::size_t N>
+void Writer::little_endian(std::uint64_t v) {
+  std::array<std::uint8_t, N> out;
+  for (std::size_t i = 0; i < N; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  buf_.insert(buf_.end(), out.begin(), out.end());
 }
 
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void Writer::u16(std::uint16_t v) { little_endian<2>(v); }
 
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void Writer::u32(std::uint32_t v) { little_endian<4>(v); }
+
+void Writer::u64(std::uint64_t v) { little_endian<8>(v); }
 
 void Writer::bytes(ByteView data) {
   u32(static_cast<std::uint32_t>(data.size()));

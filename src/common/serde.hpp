@@ -15,7 +15,11 @@ namespace sbft {
 
 class Writer {
  public:
-  Writer() = default;
+  /// Room for a short message (most protocol messages fit), so small
+  /// encoders allocate once.
+  Writer() { buf_.reserve(kShortMessage); }
+  /// Exactly `capacity` bytes up front, for encoders that know their size.
+  explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
@@ -38,6 +42,12 @@ class Writer {
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
  private:
+  static constexpr std::size_t kShortMessage = 128;
+
+  /// Appends the `N` low bytes of `v`, little-endian, in one insert.
+  template <std::size_t N>
+  void little_endian(std::uint64_t v);
+
   Bytes buf_;
 };
 

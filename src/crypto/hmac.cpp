@@ -4,14 +4,7 @@
 
 namespace sbft::crypto {
 
-namespace {
-
-struct HmacState {
-  Sha256 inner;
-  std::array<std::uint8_t, 64> opad;
-};
-
-[[nodiscard]] HmacState hmac_begin(ByteView key) noexcept {
+HmacKey hmac_key(ByteView key) noexcept {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > 64) {
     const Digest kd = sha256(key);
@@ -20,48 +13,40 @@ struct HmacState {
     // key.data() may be null for an empty view; null memcpy source is UB.
     std::memcpy(block.data(), key.data(), key.size());
   }
-  HmacState st;
-  std::array<std::uint8_t, 64> ipad;
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(block[i] ^ 0x36);
-    st.opad[i] = static_cast<std::uint8_t>(block[i] ^ 0x5c);
-  }
-  st.inner.update(ByteView{ipad.data(), ipad.size()});
-  return st;
+  const auto midstate = [&block](std::uint8_t pad) {
+    std::array<std::uint8_t, 64> padded;
+    for (std::size_t i = 0; i < padded.size(); ++i) {
+      padded[i] = static_cast<std::uint8_t>(block[i] ^ pad);
+    }
+    Sha256 h;
+    h.update(ByteView{padded.data(), padded.size()});
+    return h.midstate();
+  };
+  return HmacKey{midstate(0x36), midstate(0x5c)};
 }
 
-[[nodiscard]] Digest hmac_end(HmacState& st) noexcept {
-  const Digest inner_digest = st.inner.finalize();
-  Sha256 outer;
-  outer.update(ByteView{st.opad.data(), st.opad.size()});
+Digest hmac_sha256(const HmacKey& key, ByteView a, ByteView b) noexcept {
+  Sha256 inner = Sha256::resume(key.inner, 1);
+  inner.update(a);
+  inner.update(b);
+  const Digest inner_digest = inner.finalize();
+  Sha256 outer = Sha256::resume(key.outer, 1);
   outer.update(inner_digest.view());
   return outer.finalize();
 }
 
-}  // namespace
-
 Digest hmac_sha256(ByteView key, ByteView data) noexcept {
-  HmacState st = hmac_begin(key);
-  st.inner.update(data);
-  return hmac_end(st);
+  return hmac_sha256(hmac_key(key), data);
 }
 
-Digest hmac_sha256_concat(ByteView key, ByteView a, ByteView b) noexcept {
-  HmacState st = hmac_begin(key);
-  st.inner.update(a);
-  st.inner.update(b);
-  return hmac_end(st);
-}
-
-bool hmac_verify(ByteView key, ByteView data, ByteView mac) noexcept {
-  const Digest expected = hmac_sha256(key, data);
-  return ct_equal(expected.view(), mac);
+bool hmac_verify(const HmacKey& key, ByteView data, ByteView mac) noexcept {
+  return ct_equal(hmac_sha256(key, data).view(), mac);
 }
 
 Key32 derive_key(ByteView key, std::string_view label,
                  ByteView context) noexcept {
-  const Digest d = hmac_sha256_concat(
-      key,
+  const Digest d = hmac_sha256(
+      hmac_key(key),
       ByteView{reinterpret_cast<const std::uint8_t*>(label.data()),
                label.size()},
       context);

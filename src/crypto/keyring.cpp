@@ -8,14 +8,13 @@ namespace sbft::crypto {
 namespace {
 
 /// HMAC over `id || message` (id little-endian), without copying message.
-[[nodiscard]] Digest id_prefixed_mac(const Key32& key, PrincipalId id,
+[[nodiscard]] Digest id_prefixed_mac(const HmacKey& key, PrincipalId id,
                                      ByteView message) noexcept {
   std::array<std::uint8_t, 8> prefix;
   for (int i = 0; i < 8; ++i) {
     prefix[i] = static_cast<std::uint8_t>(id >> (8 * i));
   }
-  return hmac_sha256_concat(ByteView{key.data(), key.size()},
-                            ByteView{prefix.data(), prefix.size()}, message);
+  return hmac_sha256(key, ByteView{prefix.data(), prefix.size()}, message);
 }
 
 class Ed25519SignerImpl final : public Signer {
@@ -58,8 +57,9 @@ class Ed25519VerifierImpl final : public Verifier {
 
 class HmacSignerImpl final : public Signer {
  public:
-  HmacSignerImpl(PrincipalId id, Key32 group_key)
-      : id_(id), group_key_(group_key) {}
+  HmacSignerImpl(PrincipalId id, const Key32& group_key)
+      : id_(id),
+        group_key_(hmac_key(ByteView{group_key.data(), group_key.size()})) {}
 
   [[nodiscard]] Bytes sign(ByteView message) const override {
     const Digest mac = id_prefixed_mac(group_key_, id_, message);
@@ -69,14 +69,15 @@ class HmacSignerImpl final : public Signer {
 
  private:
   PrincipalId id_;
-  Key32 group_key_;
+  HmacKey group_key_;
 };
 
 class HmacVerifierImpl final : public Verifier {
  public:
-  HmacVerifierImpl(Key32 group_key,
+  HmacVerifierImpl(const Key32& group_key,
                    std::unordered_map<PrincipalId, bool> known)
-      : group_key_(group_key), known_(std::move(known)) {}
+      : group_key_(hmac_key(ByteView{group_key.data(), group_key.size()})),
+        known_(std::move(known)) {}
 
   [[nodiscard]] bool verify(PrincipalId signer, ByteView message,
                             ByteView sig) const override {
@@ -89,7 +90,7 @@ class HmacVerifierImpl final : public Verifier {
   }
 
  private:
-  Key32 group_key_;
+  HmacKey group_key_;
   std::unordered_map<PrincipalId, bool> known_;
 };
 

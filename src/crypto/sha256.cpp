@@ -168,6 +168,13 @@ void Sha256::reset() noexcept {
   total_len_ = 0;
 }
 
+Sha256 Sha256::resume(const State& midstate, std::uint64_t blocks) noexcept {
+  Sha256 h;
+  h.state_ = midstate;
+  h.total_len_ = blocks * 64;
+  return h;
+}
+
 void Sha256::compress(const std::uint8_t* blocks, std::size_t count) noexcept {
   static const detail::Sha256Compress chosen = [] {
     const detail::Sha256Compress hw = detail::sha256_compress_hw();

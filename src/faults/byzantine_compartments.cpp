@@ -75,9 +75,7 @@ std::vector<net::Envelope> ForgingReplyExec::deliver(const net::Envelope& env) {
     reply->result = forged_result_;
     // The Execution enclave holds the client auth key: the forged reply
     // carries a VALID Mac. Only f+1 matching protects the client.
-    const crypto::Key32 key = directory_.auth_key(reply->client);
-    const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                           reply->auth_input());
+    const Digest mac = reply->mac(directory_.hmac_key(reply->client));
     reply->auth = Bytes(mac.bytes.begin(), mac.bytes.end());
     e.payload = reply->serialize();
   }
@@ -96,9 +94,7 @@ std::vector<net::Envelope> ForgingReadExec::deliver(const net::Envelope& env) {
     rr->result_digest.bytes[0] ^= 0xff;
     rr->result_digest.bytes[31] ^= 0xff;
     if (rr->has_result) rr->result = forged_result_;
-    const crypto::Key32 key = directory_.auth_key(rr->client);
-    const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                           rr->auth_input());
+    const Digest mac = rr->mac(directory_.hmac_key(rr->client));
     rr->auth = Bytes(mac.bytes.begin(), mac.bytes.end());
     e.payload = rr->serialize();
     ++forged_;

@@ -1,7 +1,5 @@
 #include "faults/hybrid_attack.hpp"
 
-#include "crypto/hmac.hpp"
-
 namespace sbft::faults {
 
 std::vector<net::Envelope> HybridUsigAttack::handle(const net::Envelope& env,
@@ -19,9 +17,7 @@ std::vector<net::Envelope> HybridUsigAttack::handle(const net::Envelope& env,
   forged.client = req->client;
   forged.timestamp = req->timestamp;
   forged.payload = to_bytes("attacker-op");
-  const crypto::Key32 key = directory_.auth_key(forged.client);
-  const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                         forged.auth_input());
+  const Digest mac = forged.mac(directory_.hmac_key(forged.client));
   forged.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
   // The compromised TEE signs counter value 1 TWICE.

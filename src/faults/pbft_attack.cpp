@@ -1,6 +1,5 @@
 #include "faults/pbft_attack.hpp"
 
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sbft::faults {
@@ -113,9 +112,7 @@ void ReadReplyForger::forge(std::vector<net::Envelope>& envs) {
     rr->result_digest = crypto::sha256(forged_result_);
     rr->has_result = true;
     rr->result = forged_result_;
-    const crypto::Key32 key = directory_.auth_key(rr->client);
-    const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                           rr->auth_input());
+    const Digest mac = rr->mac(directory_.hmac_key(rr->client));
     rr->auth = Bytes(mac.bytes.begin(), mac.bytes.end());
     e.payload = rr->serialize();
     ++forged_;

@@ -1,7 +1,6 @@
 #include "faults/shard_attack.hpp"
 
 #include "apps/kv_store.hpp"
-#include "crypto/hmac.hpp"
 #include "pbft/messages.hpp"
 
 namespace sbft::faults {
@@ -21,9 +20,7 @@ void KvReplyForger::forge(std::vector<net::Envelope>& envs) {
     // a prepare-ok with a VALID client MAC. The vote verifies in
     // isolation — only the per-shard f+1 matching-reply rule defeats it.
     reply->result = apps::kv::encode_reply(apps::KvStatus::Ok);
-    const crypto::Key32 key = directory_.auth_key(reply->client);
-    const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                           reply->auth_input());
+    const Digest mac = reply->mac(directory_.hmac_key(reply->client));
     reply->auth = Bytes(mac.bytes.begin(), mac.bytes.end());
     e.payload = reply->serialize();
     ++forged_;

@@ -1,7 +1,6 @@
 #include "hybrid/minbft.hpp"
 
 #include "common/serde.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sbft::hybrid {
@@ -111,11 +110,7 @@ std::vector<net::Envelope> HybridReplica::tick(Micros) { return {}; }
 void HybridReplica::on_request(const net::Envelope& env, Out& out) {
   auto req = pbft::Request::deserialize(env.payload);
   if (!req) return;
-  const crypto::Key32 key = clients_.auth_key(req->client);
-  if (!crypto::hmac_verify(ByteView{key.data(), key.size()},
-                           req->auth_input(), req->auth)) {
-    return;
-  }
+  if (!req->mac_valid(clients_.hmac_key(req->client))) return;
   const auto record = client_records_.find(req->client);
   if (record != client_records_.end() &&
       req->timestamp <= record->second.last_ts) {
@@ -145,10 +140,8 @@ void HybridReplica::on_prepare(const net::Envelope& env, Out& out) {
     return;
   }
   // Backups re-check client authentication (never trust the primary).
-  const crypto::Key32 key = clients_.auth_key(prepare->request.client);
-  if (!crypto::hmac_verify(ByteView{key.data(), key.size()},
-                           prepare->request.auth_input(),
-                           prepare->request.auth)) {
+  if (!prepare->request.mac_valid(
+          clients_.hmac_key(prepare->request.client))) {
     return;
   }
   // Verify the primary's UI and counter freshness: a UI counter may be
@@ -247,9 +240,7 @@ void HybridReplica::try_execute(Out& out) {
     reply.client = req.client;
     reply.sender = id_;
     reply.result = result;
-    const crypto::Key32 key = clients_.auth_key(req.client);
-    const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                           reply.auth_input());
+    const Digest mac = reply.mac(clients_.hmac_key(req.client));
     reply.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
     net::Envelope env;

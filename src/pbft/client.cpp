@@ -1,6 +1,5 @@
 #include "pbft/client.hpp"
 
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sbft::pbft {
@@ -9,7 +8,7 @@ Client::Client(Config config, ClientId id, const ClientDirectory& directory,
                Micros retry_timeout_us, ReplicaPrincipalFn replica_principal)
     : config_(config),
       id_(id),
-      auth_key_(directory.auth_key(id)),
+      mac_key_(directory.hmac_key(id)),
       retry_timeout_us_(retry_timeout_us),
       replica_principal_(replica_principal) {}
 
@@ -40,8 +39,7 @@ std::vector<net::Envelope> Client::submit(Bytes operation, Micros now,
   request_.client = id_;
   request_.timestamp = timestamp_;
   request_.payload = operation_;
-  const Digest mac = crypto::hmac_sha256(
-      ByteView{auth_key_.data(), auth_key_.size()}, request_.auth_input());
+  const Digest mac = request_.mac(mac_key_);
   request_.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
   fast_read_ = read_only && config_.read_path;
@@ -85,8 +83,7 @@ std::optional<Bytes> Client::on_read_reply(const net::Envelope& env,
       rr->sender >= config_.n) {
     return std::nullopt;
   }
-  if (!crypto::hmac_verify(ByteView{auth_key_.data(), auth_key_.size()},
-                           rr->auth_input(), rr->auth)) {
+  if (!rr->mac_valid(mac_key_)) {
     return std::nullopt;  // forged read reply
   }
   if (env.src != replica_principal_(rr->sender)) {
@@ -135,8 +132,7 @@ std::optional<Bytes> Client::on_reply(const net::Envelope& env, Micros now,
       reply->sender >= config_.n) {
     return std::nullopt;
   }
-  if (!crypto::hmac_verify(ByteView{auth_key_.data(), auth_key_.size()},
-                           reply->auth_input(), reply->auth)) {
+  if (!reply->mac_valid(mac_key_)) {
     return std::nullopt;  // forged reply
   }
   auto& senders = votes_[reply->result];

@@ -90,7 +90,7 @@ class Client {
 
   Config config_;
   ClientId id_;
-  crypto::Key32 auth_key_;
+  crypto::HmacKey mac_key_;
   Micros retry_timeout_us_;
   ReplicaPrincipalFn replica_principal_;
 

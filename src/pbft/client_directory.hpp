@@ -8,11 +8,12 @@
 //
 // Derivation (two HMAC-SHA256 invocations) sits on the per-message hot
 // path — every request authentication and every reply MAC needs the
-// client's key — so the directory memoizes derived keys in a sharded
-// table: ClientId hashes to one of kShards independently-locked maps, so
-// concurrent completions for different clients (the ThreadNetwork runtime
-// delivers replica outputs from many consumer threads) never serialize on
-// a single lock. Copies of a directory share the cache.
+// client's key — so the directory memoizes each derived key, together
+// with its HMAC midstates (crypto::HmacKey), in a sharded table: ClientId
+// hashes to one of kShards independently-locked maps, so concurrent
+// completions for different clients (the ThreadNetwork runtime delivers
+// replica outputs from many consumer threads) never serialize on a single
+// lock. Copies of a directory share the cache.
 #pragma once
 
 #include <array>
@@ -32,6 +33,8 @@ class ClientDirectory {
 
   /// The client's HMAC key: derived on first use, cached thereafter.
   [[nodiscard]] crypto::Key32 auth_key(ClientId client) const;
+  /// The same key expanded for HMAC: every client MAC runs from this.
+  [[nodiscard]] crypto::HmacKey hmac_key(ClientId client) const;
 
   /// Cached-key count across all shards (tests / capacity planning).
   [[nodiscard]] std::size_t cached_keys() const;
@@ -39,12 +42,18 @@ class ClientDirectory {
  private:
   static constexpr std::size_t kShards = 16;
 
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<ClientId, crypto::Key32> keys;
+  struct Keys {
+    crypto::Key32 key;
+    crypto::HmacKey mac;
   };
 
-  [[nodiscard]] crypto::Key32 derive(ClientId client) const;
+  struct Shard {
+    mutable std::mutex mutex;
+    std::unordered_map<ClientId, Keys> keys;
+  };
+
+  [[nodiscard]] Keys keys(ClientId client) const;
+  [[nodiscard]] Keys derive(ClientId client) const;
   [[nodiscard]] Shard& shard_for(ClientId client) const noexcept {
     // Multiplicative hash so consecutive client ids (the common workload
     // allocation pattern) spread across shards instead of striding.

@@ -1,5 +1,8 @@
 #include "pbft/messages.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/serde.hpp"
 #include "crypto/sha256.hpp"
 
@@ -44,16 +47,83 @@ void put_envelopes(Writer& w, const std::vector<net::Envelope>& envs) {
   return envs;
 }
 
+/// Fixed-width fields laid out as Writer encodes them, in a stack buffer.
+template <std::size_t N>
+class AuthHeader {
+ public:
+  static constexpr std::size_t kSize = N;
+
+  AuthHeader& u8(std::uint8_t v) { return put(v, 1); }
+  AuthHeader& u32(std::uint32_t v) { return put(v, 4); }
+  AuthHeader& u64(std::uint64_t v) { return put(v, 8); }
+  AuthHeader& digest(const Digest& d) {
+    std::copy(d.bytes.begin(), d.bytes.end(), buf_.begin() + len_);
+    len_ += d.bytes.size();
+    return *this;
+  }
+  [[nodiscard]] ByteView view() const noexcept { return {buf_.data(), len_}; }
+
+ private:
+  AuthHeader& put(std::uint64_t v, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i) {
+      buf_[len_++] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    return *this;
+  }
+
+  std::array<std::uint8_t, N> buf_{};
+  std::size_t len_{0};
+};
+
+[[nodiscard]] std::uint32_t len32(const Bytes& b) {
+  return static_cast<std::uint32_t>(b.size());
+}
+
+// Each client-authenticated message is, on the wire: these fixed fields
+// up to and including the body's length prefix, the body, then the
+// length-prefixed MAC. The MAC covers the first two parts, so a MAC hashes
+// the header from the stack and the body in place.
+
+[[nodiscard]] AuthHeader<16> auth_header(const Request& m) {
+  AuthHeader<16> h;
+  h.u32(m.client).u64(m.timestamp).u32(len32(m.payload));
+  return h;
+}
+
+[[nodiscard]] AuthHeader<28> auth_header(const Reply& m) {
+  AuthHeader<28> h;
+  h.u64(m.view).u64(m.timestamp).u32(m.client).u32(m.sender);
+  h.u32(len32(m.result));
+  return h;
+}
+
+[[nodiscard]] AuthHeader<61> auth_header(const ReadReply& m) {
+  AuthHeader<61> h;
+  h.u64(m.timestamp).u32(m.client).u32(m.sender).u64(m.exec_seq);
+  h.digest(m.result_digest).u8(m.has_result ? 1 : 0).u32(len32(m.result));
+  return h;
+}
+
+/// Encoded size of serialize() for a header + body + MAC message.
+template <typename Msg>
+[[nodiscard]] std::size_t wire_size(const Msg& m, const Bytes& body) {
+  return decltype(auth_header(m))::kSize + body.size() + 4 + m.auth.size();
+}
+
+template <typename Msg>
+void put_authenticated(Writer& w, const Msg& m, const Bytes& body) {
+  w.raw(auth_header(m).view());
+  w.raw(body);
+  w.bytes(m.auth);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Request
 
 Bytes Request::serialize() const {
-  Writer w;
-  w.u32(client);
-  w.u64(timestamp);
-  w.bytes(payload);
-  w.bytes(auth);
+  Writer w(wire_size(*this, payload));
+  put_authenticated(w, *this, payload);
   return std::move(w).take();
 }
 
@@ -69,21 +139,35 @@ std::optional<Request> Request::deserialize(ByteView data) {
 }
 
 Bytes Request::auth_input() const {
-  Writer w;
-  w.u32(client);
-  w.u64(timestamp);
-  w.bytes(payload);
+  const auto header = auth_header(*this);
+  Writer w(header.kSize + payload.size());
+  w.raw(header.view());
+  w.raw(payload);
   return std::move(w).take();
 }
 
 Digest Request::digest() const { return crypto::sha256(auth_input()); }
 
+Digest Request::mac(const crypto::HmacKey& key) const {
+  return crypto::hmac_sha256(key, auth_header(*this).view(), payload);
+}
+
+bool Request::mac_valid(const crypto::HmacKey& key) const {
+  return ct_equal(mac(key).view(), auth);
+}
+
 // ----------------------------------------------------------- RequestBatch
 
 Bytes RequestBatch::serialize() const {
-  Writer w;
+  // Each request is length-prefixed and written in place.
+  std::size_t size = 4;
+  for (const auto& req : requests) size += 4 + wire_size(req, req.payload);
+  Writer w(size);
   w.u32(static_cast<std::uint32_t>(requests.size()));
-  for (const auto& req : requests) w.bytes(req.serialize());
+  for (const auto& req : requests) {
+    w.u32(static_cast<std::uint32_t>(wire_size(req, req.payload)));
+    put_authenticated(w, req, req.payload);
+  }
   return std::move(w).take();
 }
 
@@ -97,7 +181,8 @@ std::optional<RequestBatch> RequestBatch::deserialize(ByteView data) {
   RequestBatch batch;
   batch.requests.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    const Bytes b = r.bytes();
+    const std::uint32_t len = r.u32();
+    const ByteView b = r.view(len);
     if (r.failed()) return std::nullopt;
     auto req = Request::deserialize(b);
     if (!req) return std::nullopt;
@@ -112,7 +197,7 @@ Digest RequestBatch::digest() const { return crypto::sha256(serialize()); }
 // ------------------------------------------------------------- PrePrepare
 
 Bytes PrePrepare::serialize() const {
-  Writer w;
+  Writer w(8 + 8 + 32 + 4 + batch.size() + 4);
   w.u64(view);
   w.u64(seq);
   put_digest(w, batch_digest);
@@ -180,13 +265,8 @@ std::optional<Commit> Commit::deserialize(ByteView data) {
 // ------------------------------------------------------------------ Reply
 
 Bytes Reply::serialize() const {
-  Writer w;
-  w.u64(view);
-  w.u64(timestamp);
-  w.u32(client);
-  w.u32(sender);
-  w.bytes(result);
-  w.bytes(auth);
+  Writer w(wire_size(*this, result));
+  put_authenticated(w, *this, result);
   return std::move(w).take();
 }
 
@@ -203,28 +283,19 @@ std::optional<Reply> Reply::deserialize(ByteView data) {
   return m;
 }
 
-Bytes Reply::auth_input() const {
-  Writer w;
-  w.u64(view);
-  w.u64(timestamp);
-  w.u32(client);
-  w.u32(sender);
-  w.bytes(result);
-  return std::move(w).take();
+Digest Reply::mac(const crypto::HmacKey& key) const {
+  return crypto::hmac_sha256(key, auth_header(*this).view(), result);
+}
+
+bool Reply::mac_valid(const crypto::HmacKey& key) const {
+  return ct_equal(mac(key).view(), auth);
 }
 
 // -------------------------------------------------------------- ReadReply
 
 Bytes ReadReply::serialize() const {
-  Writer w;
-  w.u64(timestamp);
-  w.u32(client);
-  w.u32(sender);
-  w.u64(exec_seq);
-  put_digest(w, result_digest);
-  w.boolean(has_result);
-  w.bytes(result);
-  w.bytes(auth);
+  Writer w(wire_size(*this, result));
+  put_authenticated(w, *this, result);
   return std::move(w).take();
 }
 
@@ -243,16 +314,12 @@ std::optional<ReadReply> ReadReply::deserialize(ByteView data) {
   return m;
 }
 
-Bytes ReadReply::auth_input() const {
-  Writer w;
-  w.u64(timestamp);
-  w.u32(client);
-  w.u32(sender);
-  w.u64(exec_seq);
-  put_digest(w, result_digest);
-  w.boolean(has_result);
-  w.bytes(result);
-  return std::move(w).take();
+Digest ReadReply::mac(const crypto::HmacKey& key) const {
+  return crypto::hmac_sha256(key, auth_header(*this).view(), result);
+}
+
+bool ReadReply::mac_valid(const crypto::HmacKey& key) const {
+  return ct_equal(mac(key).view(), auth);
 }
 
 // ------------------------------------------------------------- Checkpoint

@@ -10,6 +10,7 @@
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/merkle.hpp"
 #include "net/message.hpp"
 
@@ -63,6 +64,10 @@ struct Request {
   [[nodiscard]] Bytes auth_input() const;
   /// Digest identifying the request (client, timestamp, payload).
   [[nodiscard]] Digest digest() const;
+  /// The client MAC over auth_input()'s bytes, hashed from the fields.
+  [[nodiscard]] Digest mac(const crypto::HmacKey& key) const;
+  /// True when `auth` equals mac(key) (constant-time compare).
+  [[nodiscard]] bool mac_valid(const crypto::HmacKey& key) const;
 };
 
 /// Ordered batch of requests — the unit of agreement.
@@ -116,7 +121,10 @@ struct Reply {
 
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static std::optional<Reply> deserialize(ByteView data);
-  [[nodiscard]] Bytes auth_input() const;
+  /// The MAC for the client: every field but `auth`, in wire order.
+  [[nodiscard]] Digest mac(const crypto::HmacKey& key) const;
+  /// True when `auth` equals mac(key) (constant-time compare).
+  [[nodiscard]] bool mac_valid(const crypto::HmacKey& key) const;
 };
 
 /// Answer to a ReadRequest, served from committed state without ordering.
@@ -142,7 +150,10 @@ struct ReadReply {
 
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static std::optional<ReadReply> deserialize(ByteView data);
-  [[nodiscard]] Bytes auth_input() const;
+  /// The MAC for the client: every field but `auth`, in wire order.
+  [[nodiscard]] Digest mac(const crypto::HmacKey& key) const;
+  /// True when `auth` equals mac(key) (constant-time compare).
+  [[nodiscard]] bool mac_valid(const crypto::HmacKey& key) const;
 };
 
 struct Checkpoint {

@@ -122,7 +122,7 @@ Replica::GcFootprint Replica::gc_footprint() const {
 void Replica::stage_reply(ClientId client, Timestamp ts, View view,
                           Bytes result) {
   // Parallel stage: build + MAC + serialize from captured copies only.
-  // clients_.auth_key is a thread-safe sharded cache; nothing here may
+  // clients_.hmac_key is a thread-safe sharded cache; nothing here may
   // reference client_records_ (gc_client_records strips bodies while work
   // is still in flight within the same engine call).
   runner_->submit([this, client, ts, view, result = std::move(result)]() mutable
@@ -133,9 +133,7 @@ void Replica::stage_reply(ClientId client, Timestamp ts, View view,
     reply.client = client;
     reply.sender = id_;
     reply.result = std::move(result);
-    const crypto::Key32 key = clients_.auth_key(client);
-    const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                           reply.auth_input());
+    const Digest mac = reply.mac(clients_.hmac_key(client));
     reply.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
     net::Envelope env;
@@ -279,9 +277,7 @@ std::optional<Micros> Replica::next_deadline() const {
 void Replica::on_request(const net::Envelope& env, Micros now, Out& out) {
   auto req = Request::deserialize(env.payload);
   if (!req) return;
-  const crypto::Key32 key = clients_.auth_key(req->client);
-  if (!crypto::hmac_verify(ByteView{key.data(), key.size()},
-                           req->auth_input(), req->auth)) {
+  if (!req->mac_valid(clients_.hmac_key(req->client))) {
     return;  // unauthenticated client
   }
 
@@ -315,7 +311,9 @@ void Replica::on_request(const net::Envelope& env, Micros now, Out& out) {
     ++admission_rejects_;
     return;
   }
-  pending_requests_[pending_key] = *req;
+  // Only requests whose MAC checked out above enter this table, which is
+  // what lets on_pre_prepare skip re-checking a byte-equal copy.
+  pending_requests_[pending_key] = std::move(*req);
   // Record the FIRST arrival only: a retransmit of a still-pending request
   // must not refresh its suspicion deadline (nor grow the queue).
   if (fresh) pending_arrivals_.emplace_back(now, pending_key);
@@ -344,11 +342,8 @@ void Replica::on_read_request(const net::Envelope& env, Micros now, Out& out) {
   }
   auto req = Request::deserialize(env.payload);
   if (!req) return;
-  const crypto::Key32 key = clients_.auth_key(req->client);
-  if (!crypto::hmac_verify(ByteView{key.data(), key.size()},
-                           req->auth_input(), req->auth)) {
-    return;  // unauthenticated client
-  }
+  const crypto::HmacKey key = clients_.hmac_key(req->client);
+  if (!req->mac_valid(key)) return;  // unauthenticated client
   // Only operations the app declares read-only may bypass ordering; for
   // anything else the client's fallback timeout re-submits through the
   // ordered path.
@@ -376,8 +371,7 @@ void Replica::on_read_request(const net::Envelope& env, Micros now, Out& out) {
       rr.has_result = true;
       rr.result = std::move(result);
     }
-    const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                           rr.auth_input());
+    const Digest mac = rr.mac(key);
     rr.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
     net::Envelope renv;
@@ -419,24 +413,26 @@ void Replica::cut_batch(Micros now, Out& out) {
       it = pending_requests_.erase(it);  // stale
       continue;
     }
-    batch.requests.push_back(it->second);
+    batch.requests.push_back(std::move(it->second));
     it = pending_requests_.erase(it);
   }
   if (batch.empty()) return;
 
+  const SeqNum seq = ++next_seq_;
   PrePrepare pp;
   pp.view = view_;
-  pp.seq = ++next_seq_;
+  pp.seq = seq;
   pp.batch = batch.serialize();
   pp.batch_digest = crypto::sha256(pp.batch);
   pp.sender = id_;
 
-  Slot& s = slot(pp.seq);
+  Slot& s = slot(seq);
   // Sign once; the stored copy is attested (we are the signer) and the
   // broadcast copies reuse the signature.
   net::Envelope ppe =
       make_signed(MsgType::PrePrepare, SharedBytes(pp.serialize()), 0);
-  s.pre_prepare = pp;
+  s.pre_prepare = std::move(pp);
+  s.batch = std::move(batch);
   broadcast_env(ppe, out);
   s.pre_prepare_env = auth_->attest_own(std::move(ppe), *signer_);
 
@@ -449,7 +445,7 @@ void Replica::cut_batch(Micros now, Out& out) {
       batch_deadline_ = now + config_.batch_timeout_us;
     }
   }
-  check_prepared(pp.seq, now, out);
+  check_prepared(seq, now, out);
 }
 
 // ------------------------------------------------------------- pre-prepare
@@ -468,9 +464,15 @@ void Replica::on_pre_prepare(const net::Envelope& env, Micros now, Out& out) {
   auto batch = RequestBatch::deserialize(pp->batch);
   if (!batch) return;
   for (const auto& req : batch->requests) {
-    const crypto::Key32 key = clients_.auth_key(req.client);
-    if (!crypto::hmac_verify(ByteView{key.data(), key.size()},
-                             req.auth_input(), req.auth)) {
+    // A byte-equal copy of a request this replica already admitted had its
+    // MAC checked on arrival (the MAC covers client, timestamp and payload).
+    const auto known = pending_requests_.find({req.client, req.timestamp});
+    if (known != pending_requests_.end() &&
+        known->second.payload == req.payload &&
+        known->second.auth == req.auth) {
+      continue;
+    }
+    if (!req.mac_valid(clients_.hmac_key(req.client))) {
       return;  // batch smuggles an unauthenticated request
     }
   }
@@ -481,17 +483,19 @@ void Replica::on_pre_prepare(const net::Envelope& env, Micros now, Out& out) {
     // keep the first, the view-change timer handles the rest.
     return;
   }
-  s.pre_prepare = *pp;
+  s.pre_prepare = std::move(*pp);
   s.pre_prepare_env = std::move(*verified);
+  s.batch = std::move(batch);
+  const PrePrepare& accepted = *s.pre_prepare;
   // Drop buffered prepares that do not match the accepted digest.
   std::erase_if(s.prepares, [&](const auto& kv) {
-    return kv.second.first != pp->batch_digest;
+    return kv.second.first != accepted.batch_digest;
   });
 
   Prepare prep;
-  prep.view = pp->view;
-  prep.seq = pp->seq;
-  prep.batch_digest = pp->batch_digest;
+  prep.view = accepted.view;
+  prep.seq = accepted.seq;
+  prep.batch_digest = accepted.batch_digest;
   prep.sender = id_;
   // Serialize and sign the prepare once: the broadcast copies and the
   // stored own-vote all share the same frames.
@@ -501,7 +505,7 @@ void Replica::on_pre_prepare(const net::Envelope& env, Micros now, Out& out) {
   s.prepares.try_emplace(id_, prep.batch_digest,
                          auth_->attest_own(std::move(my_prepare), *signer_));
 
-  check_prepared(pp->seq, now, out);
+  check_prepared(prep.seq, now, out);
 }
 
 // ----------------------------------------------------------------- prepare
@@ -590,17 +594,19 @@ void Replica::try_execute(Micros now, Out& out) {
   while (!awaiting_state_) {
     const SeqNum seq = last_executed_ + 1;
     const auto it = log_.find(seq);
-    if (it == log_.end() || !it->second.committed || !it->second.pre_prepare) {
-      break;
-    }
-    auto batch = RequestBatch::deserialize(it->second.pre_prepare->batch);
-    if (!batch) break;  // cannot happen for validated slots
-    execute_batch(seq, *batch, now, out);
+    if (it == log_.end()) break;
+    Slot& s = it->second;
+    if (!s.committed || !s.pre_prepare) break;
+    // Slots a NewView installed carry no parsed copy yet.
+    if (!s.batch) s.batch = RequestBatch::deserialize(s.pre_prepare->batch);
+    if (!s.batch) break;  // cannot happen for validated slots
+    execute_batch(seq, *s.batch, now, out);
+    s.batch.reset();  // executed: only view changes read the slot now
     // Prune the at-most-once table at the execution point only: every
     // replica has executed the identical prefix here, so they evict the
     // identical records and checkpoint digests stay aligned.
     gc_client_records();
-    executed_digests_[seq] = it->second.pre_prepare->batch_digest;
+    executed_digests_[seq] = s.pre_prepare->batch_digest;
     last_executed_ = seq;
     maybe_checkpoint(seq, now, out);
   }
@@ -1401,6 +1407,7 @@ void Replica::enter_view(
     Slot& s = slot(pp->seq);
     s.pre_prepare = *pp;
     s.pre_prepare_env = ppe.clone();
+    s.batch.reset();  // parsed on execution, from this pre-prepare
     if (!is_primary()) {
       Prepare prep;
       prep.view = v;

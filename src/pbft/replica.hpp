@@ -155,6 +155,9 @@ class Replica {
   struct Slot {
     std::optional<PrePrepare> pre_prepare;
     std::optional<net::VerifiedEnvelope> pre_prepare_env;
+    // pre_prepare->batch as cut_batch or on_pre_prepare already parsed it,
+    // so execution does not parse it again; dropped once executed.
+    std::optional<RequestBatch> batch;
     // Votes keyed by sender, with the digest each vote is for.
     std::map<ReplicaId, std::pair<Digest, net::VerifiedEnvelope>> prepares;
     std::map<ReplicaId, std::pair<Digest, net::VerifiedEnvelope>> commits;

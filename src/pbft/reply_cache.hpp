@@ -24,7 +24,9 @@ namespace sbft::pbft {
 /// `cap` = 0 disables stripping.
 template <typename RecordMap>
 void strip_reply_cache(RecordMap& records, std::size_t cap) {
-  if (cap == 0) return;
+  // No more records than the cap means no more cached replies than the cap:
+  // skip the walk (this runs after every executed batch).
+  if (cap == 0 || records.size() <= cap) return;
   std::vector<std::pair<Timestamp, ClientId>> cached;
   cached.reserve(records.size());
   for (const auto& [client, record] : records) {

@@ -15,7 +15,7 @@ SplitClient::SplitClient(pbft::Config config, ClientId id,
                          Micros retry_timeout_us)
     : config_(config),
       id_(id),
-      auth_key_(directory.auth_key(id)),
+      mac_key_(directory.hmac_key(id)),
       anchors_(anchors),
       rng_(seed ^ (0xc11e47ULL + id)),
       retry_timeout_us_(retry_timeout_us) {
@@ -85,8 +85,7 @@ void SplitClient::handle_attest_report(const net::Envelope& env,
   init.sealed_session_key = crypto::aead_seal(
       wrap_key, crypto::make_nonce(channels::kSessionWrap, id_), {},
       ByteView{session_key_.data(), session_key_.size()});
-  const Digest mac = crypto::hmac_sha256(
-      ByteView{auth_key_.data(), auth_key_.size()}, init.auth_input());
+  const Digest mac = crypto::hmac_sha256(mac_key_, init.auth_input());
   init.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
   net::Envelope msg;
@@ -101,7 +100,7 @@ void SplitClient::handle_session_ack(const net::Envelope& env) {
   auto ack = SessionAck::deserialize(env.payload);
   if (!ack || ack->client != id_ || ack->replica >= config_.n) return;
   if (!crypto::hmac_verify(
-          ByteView{session_key_.data(), session_key_.size()},
+          crypto::hmac_key(ByteView{session_key_.data(), session_key_.size()}),
           ack->auth_input(), ack->auth)) {
     return;  // ack not under our fresh session key
   }
@@ -158,8 +157,7 @@ std::vector<net::Envelope> SplitClient::submit(Bytes operation, Micros now,
   request_.payload = crypto::aead_seal(
       session_key_, crypto::make_nonce(channels::kRequest, timestamp_), {},
       operation);
-  const Digest mac = crypto::hmac_sha256(
-      ByteView{auth_key_.data(), auth_key_.size()}, request_.auth_input());
+  const Digest mac = request_.mac(mac_key_);
   request_.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
   fast_read_ = read_only && config_.read_path;
@@ -196,8 +194,7 @@ std::optional<Bytes> SplitClient::on_read_reply(
       rr->sender >= config_.n) {
     return std::nullopt;
   }
-  if (!crypto::hmac_verify(ByteView{auth_key_.data(), auth_key_.size()},
-                           rr->auth_input(), rr->auth)) {
+  if (!rr->mac_valid(mac_key_)) {
     return std::nullopt;  // forged read reply
   }
   if (env.src != principal::enclave({rr->sender, Compartment::Execution})) {
@@ -261,10 +258,7 @@ std::optional<Bytes> SplitClient::on_reply(const net::Envelope& env,
       reply->sender >= config_.n) {
     return std::nullopt;
   }
-  if (!crypto::hmac_verify(ByteView{auth_key_.data(), auth_key_.size()},
-                           reply->auth_input(), reply->auth)) {
-    return std::nullopt;
-  }
+  if (!reply->mac_valid(mac_key_)) return std::nullopt;
 
   Bytes vote;
   if (reply->result == no_op_marker()) {

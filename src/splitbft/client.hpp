@@ -104,7 +104,7 @@ class SplitClient {
 
   pbft::Config config_;
   ClientId id_;
-  crypto::Key32 auth_key_;
+  crypto::HmacKey mac_key_;
   TrustAnchors anchors_;
   Rng rng_;
   Micros retry_timeout_us_;

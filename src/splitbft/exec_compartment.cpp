@@ -177,11 +177,8 @@ void ExecCompartment::serve_read(const pbft::Request& req, Out& out) {
       config_.read_responder(req.client, req.timestamp) == self_;
   runner_->submit([this, req, session, exec_seq,
                    responder]() -> runtime::runner::Epilogue {
-    const crypto::Key32 auth_key = clients_.auth_key(req.client);
-    if (!crypto::hmac_verify(ByteView{auth_key.data(), auth_key.size()},
-                             req.auth_input(), req.auth)) {
-      return {};
-    }
+    const crypto::HmacKey mac_key = clients_.hmac_key(req.client);
+    if (!req.mac_valid(mac_key)) return {};
     // Decrypt with the client session; on a corrupted operation the read
     // cannot be served — stay silent, the client's fallback re-submits
     // through ordering.
@@ -221,8 +218,7 @@ void ExecCompartment::serve_read(const pbft::Request& req, Out& out) {
           crypto::make_nonce(channels::kReadReplyBase + self_, req.timestamp),
           {}, result);
     }
-    const Digest mac = crypto::hmac_sha256(
-        ByteView{auth_key.data(), auth_key.size()}, rr.auth_input());
+    const Digest mac = rr.mac(mac_key);
     rr.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
     net::Envelope reply;
@@ -306,11 +302,7 @@ void ExecCompartment::try_execute(Out& out) {
 void ExecCompartment::execute_request(const pbft::Request& req, Out& out) {
   (void)out;  // staged replies leave via flush_runner
   // Authenticate (defence in depth — Preparation already checked).
-  const crypto::Key32 auth_key = clients_.auth_key(req.client);
-  if (!crypto::hmac_verify(ByteView{auth_key.data(), auth_key.size()},
-                           req.auth_input(), req.auth)) {
-    return;
-  }
+  if (!req.mac_valid(clients_.hmac_key(req.client))) return;
   auto& record = client_records_[req.client];
   if (req.timestamp <= record.last_ts) {
     if (req.timestamp == record.last_ts && record.has_reply) {
@@ -371,9 +363,7 @@ net::Envelope ExecCompartment::reply_envelope(
         session->second, crypto::make_nonce(kReplyChannelBase + self_, ts), {},
         record.last_result);
   }
-  const crypto::Key32 auth_key = clients_.auth_key(client);
-  const Digest mac = crypto::hmac_sha256(
-      ByteView{auth_key.data(), auth_key.size()}, reply.auth_input());
+  const Digest mac = reply.mac(clients_.hmac_key(client));
   reply.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
   net::Envelope env;
@@ -970,8 +960,7 @@ void ExecCompartment::on_attest_request(const net::Envelope& env, Out& out) {
 void ExecCompartment::on_session_init(const net::Envelope& env, Out& out) {
   auto init = SessionInit::deserialize(env.payload);
   if (!init) return;
-  const crypto::Key32 auth_key = clients_.auth_key(init->client);
-  if (!crypto::hmac_verify(ByteView{auth_key.data(), auth_key.size()},
+  if (!crypto::hmac_verify(clients_.hmac_key(init->client),
                            init->auth_input(), init->auth)) {
     return;
   }

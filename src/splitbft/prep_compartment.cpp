@@ -1,7 +1,6 @@
 #include "splitbft/prep_compartment.hpp"
 
 #include "common/logging.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sbft::splitbft {
@@ -73,9 +72,7 @@ void PrepCompartment::on_local_batch(const net::Envelope& env, Out& out) {
 
   // Authenticate every client request before ordering (paper §4 step 2).
   for (const auto& req : batch->requests) {
-    const crypto::Key32 key = clients_.auth_key(req.client);
-    if (!crypto::hmac_verify(ByteView{key.data(), key.size()},
-                             req.auth_input(), req.auth)) {
+    if (!req.mac_valid(clients_.hmac_key(req.client))) {
       return;  // reject the whole (untrusted broker-built) batch
     }
   }
@@ -139,9 +136,7 @@ void PrepCompartment::on_pre_prepare(const net::Envelope& env, Out& out) {
   auto batch = pbft::RequestBatch::deserialize(pp->batch);
   if (!batch) return;
   for (const auto& req : batch->requests) {
-    const crypto::Key32 key = clients_.auth_key(req.client);
-    if (!crypto::hmac_verify(ByteView{key.data(), key.size()},
-                             req.auth_input(), req.auth)) {
+    if (!req.mac_valid(clients_.hmac_key(req.client))) {
       return;  // primary smuggled an unauthenticated request
     }
   }

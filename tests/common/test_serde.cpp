@@ -97,5 +97,36 @@ TEST(Serde, LittleEndianLayout) {
   EXPECT_EQ(w.data()[3], 0x01);
 }
 
+TEST(Serde, GoldenScalarBytes) {
+  Writer w;
+  w.u16(0x0102);
+  w.u32(0x03040506);
+  w.u64(0x0708090a0b0c0d0eULL);
+  w.u16(0xffff);
+  w.u32(0);
+  w.u64(0xffffffffffffffffULL);
+  const Bytes golden = {0x02, 0x01,                                      //
+                        0x06, 0x05, 0x04, 0x03,                          //
+                        0x0e, 0x0d, 0x0c, 0x0b, 0x0a, 0x09, 0x08, 0x07,  //
+                        0xff, 0xff,                                      //
+                        0x00, 0x00, 0x00, 0x00,                          //
+                        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+  EXPECT_EQ(w.data(), golden);
+}
+
+TEST(Serde, CapacityDoesNotChangeBytes) {
+  const Bytes payload(300, 0x5a);
+  const auto encode = [&payload](Writer w) {
+    w.u64(42);
+    w.bytes(payload);
+    w.u16(7);
+    return std::move(w).take();
+  };
+  const Bytes sized = encode(Writer(8 + 4 + payload.size() + 2));
+  EXPECT_EQ(encode(Writer()), sized);
+  EXPECT_EQ(encode(Writer(0)), sized);
+  EXPECT_EQ(sized.size(), 8 + 4 + payload.size() + 2);
+}
+
 }  // namespace
 }  // namespace sbft

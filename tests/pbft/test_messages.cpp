@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serde.hpp"
+#include "crypto/hmac.hpp"
 #include "pbft/messages.hpp"
 
 namespace sbft::pbft {
@@ -109,7 +110,8 @@ TEST(PbftMessages, ReplyRoundTripAndAuthInput) {
 
   Reply other = reply;
   other.auth = Bytes(32, 2);
-  EXPECT_EQ(reply.auth_input(), other.auth_input());
+  const crypto::HmacKey key = crypto::hmac_key(to_bytes("client key"));
+  EXPECT_EQ(reply.mac(key), other.mac(key));
 }
 
 TEST(PbftMessages, CheckpointRoundTrip) {
@@ -309,6 +311,177 @@ TEST(PbftMessages, ImplausibleCountsRejectedBeforeAllocation) {
     w.u32(900);  // 900 checkpoint envelopes claimed, no bytes behind them
     EXPECT_FALSE(ViewChange::deserialize(std::move(w).take()).has_value());
   }
+}
+
+// ------------------------------------------------- wire bytes and MAC bytes
+
+[[nodiscard]] Bytes filled(std::size_t n, std::uint8_t seed) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::uint8_t>(seed + 31 * i);
+  }
+  return b;
+}
+
+[[nodiscard]] RequestBatch mixed_batch() {
+  RequestBatch batch;
+  for (std::size_t i = 0; i < 6; ++i) {
+    Request req;
+    req.client = 1000 + static_cast<ClientId>(i);
+    req.timestamp = 1ULL << (10 * i);
+    req.payload = filled(i == 0 ? 0 : 37 * i, static_cast<std::uint8_t>(i));
+    req.auth = i == 1 ? Bytes{} : filled(32, static_cast<std::uint8_t>(i + 9));
+    batch.requests.push_back(std::move(req));
+  }
+  return batch;
+}
+
+// The in-place batch encoder must produce the nested form byte for byte:
+// a u32 count, then each Request::serialize() length-prefixed.
+TEST(PbftMessages, BatchSerializeMatchesNestedForm) {
+  for (const RequestBatch& batch : {RequestBatch{}, mixed_batch()}) {
+    Writer nested;
+    nested.u32(static_cast<std::uint32_t>(batch.requests.size()));
+    for (const auto& req : batch.requests) nested.bytes(req.serialize());
+    const Bytes wire = batch.serialize();
+    EXPECT_EQ(wire, nested.data());
+
+    const auto decoded = RequestBatch::deserialize(wire);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->requests.size(), batch.requests.size());
+    for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+      EXPECT_EQ(decoded->requests[i].client, batch.requests[i].client);
+      EXPECT_EQ(decoded->requests[i].timestamp, batch.requests[i].timestamp);
+      EXPECT_EQ(decoded->requests[i].payload, batch.requests[i].payload);
+      EXPECT_EQ(decoded->requests[i].auth, batch.requests[i].auth);
+    }
+    EXPECT_EQ(decoded->serialize(), wire);
+  }
+}
+
+TEST(PbftMessages, BatchRejectsBadInnerLengthsAndCounts) {
+  const RequestBatch batch = mixed_batch();
+  const Bytes wire = batch.serialize();
+  const std::uint32_t first_len =
+      static_cast<std::uint32_t>(batch.requests[0].serialize().size());
+  const auto with_u32_at = [&wire](std::size_t at, std::uint32_t v) {
+    Bytes b = wire;
+    for (int i = 0; i < 4; ++i) {
+      b[at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    return b;
+  };
+  // Inner length one short: the request parses short of its fields.
+  EXPECT_FALSE(RequestBatch::deserialize(with_u32_at(4, first_len - 1)));
+  // Inner length one long: the request swallows its neighbour's prefix.
+  EXPECT_FALSE(RequestBatch::deserialize(with_u32_at(4, first_len + 1)));
+  // Inner length past the end of the input.
+  EXPECT_FALSE(RequestBatch::deserialize(
+      with_u32_at(4, static_cast<std::uint32_t>(wire.size()))));
+  // A count past the entries present, and one short of them.
+  const auto n = static_cast<std::uint32_t>(batch.requests.size());
+  EXPECT_FALSE(RequestBatch::deserialize(with_u32_at(0, n + 1)));
+  EXPECT_FALSE(RequestBatch::deserialize(with_u32_at(0, n - 1)));
+  // Every strict prefix is rejected.
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_FALSE(RequestBatch::deserialize(ByteView{wire.data(), len}))
+        << "prefix of " << len << " bytes parsed";
+  }
+}
+
+// Each message MAC equals HMAC-SHA256 over the reference auth bytes, built
+// here field by field with a Writer. Body sizes 0-200 put the end of the
+// input on both sides of the 55/56/64-byte SHA-256 block edges.
+TEST(PbftMessages, MacsMatchReferenceAuthBytes) {
+  const Bytes raw_key = to_bytes("client-auth-key-0123456789abcdef");
+  const crypto::HmacKey key = crypto::hmac_key(raw_key);
+  for (std::size_t n = 0; n <= 200; ++n) {
+    const Bytes body = filled(n, static_cast<std::uint8_t>(n));
+
+    Request req;
+    req.client = 0x01020304;
+    req.timestamp = 0x1122334455667788ULL + n;
+    req.payload = body;
+    Writer rw;
+    rw.u32(req.client);
+    rw.u64(req.timestamp);
+    rw.bytes(req.payload);
+    EXPECT_EQ(rw.data(), req.auth_input());
+    EXPECT_EQ(req.mac(key), crypto::hmac_sha256(raw_key, rw.data()))
+        << "request body " << n;
+
+    Reply reply;
+    reply.view = 3 + n;
+    reply.timestamp = 0xa1a2a3a4a5a6a7a8ULL;
+    reply.client = 77;
+    reply.sender = 2;
+    reply.result = body;
+    Writer pw;
+    pw.u64(reply.view);
+    pw.u64(reply.timestamp);
+    pw.u32(reply.client);
+    pw.u32(reply.sender);
+    pw.bytes(reply.result);
+    EXPECT_EQ(reply.mac(key), crypto::hmac_sha256(raw_key, pw.data()))
+        << "reply body " << n;
+
+    for (const bool has_result : {false, true}) {
+      ReadReply rr;
+      rr.timestamp = 9 + n;
+      rr.client = 78;
+      rr.sender = 3;
+      rr.exec_seq = 0x0102030405060708ULL;
+      rr.result_digest.bytes.fill(static_cast<std::uint8_t>(n));
+      rr.has_result = has_result;
+      rr.result = body;
+      Writer ww;
+      ww.u64(rr.timestamp);
+      ww.u32(rr.client);
+      ww.u32(rr.sender);
+      ww.u64(rr.exec_seq);
+      ww.raw(rr.result_digest.view());
+      ww.boolean(rr.has_result);
+      ww.bytes(rr.result);
+      EXPECT_EQ(rr.mac(key), crypto::hmac_sha256(raw_key, ww.data()))
+          << "read reply body " << n << " has_result " << has_result;
+    }
+  }
+}
+
+TEST(PbftMessages, MacValidChecksAuthAndEveryField) {
+  const crypto::HmacKey key = crypto::hmac_key(to_bytes("k"));
+  Request req = sample_request();
+  const Digest mac = req.mac(key);
+  req.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
+  EXPECT_TRUE(req.mac_valid(key));
+  EXPECT_FALSE(req.mac_valid(crypto::hmac_key(to_bytes("k2"))));
+  Request tampered = req;
+  tampered.payload.back() ^= 1;
+  EXPECT_FALSE(tampered.mac_valid(key));
+  tampered = req;
+  ++tampered.timestamp;
+  EXPECT_FALSE(tampered.mac_valid(key));
+  tampered = req;
+  tampered.auth.pop_back();
+  EXPECT_FALSE(tampered.mac_valid(key));
+
+  Reply reply;
+  reply.client = 5;
+  reply.result = to_bytes("r");
+  const Digest rmac = reply.mac(key);
+  reply.auth = Bytes(rmac.bytes.begin(), rmac.bytes.end());
+  EXPECT_TRUE(reply.mac_valid(key));
+  ++reply.sender;
+  EXPECT_FALSE(reply.mac_valid(key));
+
+  ReadReply rr;
+  rr.client = 5;
+  const Digest rrmac = rr.mac(key);
+  rr.auth = Bytes(rrmac.bytes.begin(), rrmac.bytes.end());
+  EXPECT_TRUE(rr.mac_valid(key));
+  rr.has_result = true;
+  EXPECT_FALSE(rr.mac_valid(key));
 }
 
 }  // namespace

@@ -112,9 +112,7 @@ class ReadFallback : public ::testing::Test {
       rr.has_result = true;
       rr.result = result;
     }
-    const crypto::Key32 key = directory_.auth_key(kFirstClientId);
-    const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                           rr.auth_input());
+    const Digest mac = rr.mac(directory_.hmac_key(kFirstClientId));
     rr.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
 
     net::Envelope env;
@@ -179,9 +177,7 @@ TEST_F(ReadFallback, MismatchedVotesFallBackToOrderedPath) {
     reply.client = kFirstClientId;
     reply.sender = sender;
     reply.result = fresh;
-    const crypto::Key32 key = directory_.auth_key(kFirstClientId);
-    const Digest mac = crypto::hmac_sha256(ByteView{key.data(), key.size()},
-                                           reply.auth_input());
+    const Digest mac = reply.mac(directory_.hmac_key(kFirstClientId));
     reply.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
     net::Envelope env;
     env.src = principal::pbft_replica(sender);
