@@ -24,6 +24,8 @@
 // deployment seed itself.
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -38,27 +40,23 @@ using workload::ReplicaNode;
 namespace {
 
 [[nodiscard]] std::string stats_json(const net::TransportStats& s) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\"bytes_in\": %llu, \"bytes_out\": %llu, "
-                "\"frames_in\": %llu, \"frames_out\": %llu, "
-                "\"writev_calls\": %llu, \"frames_per_writev\": %.3f, "
-                "\"connects\": %llu, \"reconnects\": %llu, "
-                "\"accepts\": %llu, \"backpressure_drops\": %llu, "
-                "\"unrouted_drops\": %llu, \"decode_errors\": %llu}",
-                static_cast<unsigned long long>(s.bytes_in),
-                static_cast<unsigned long long>(s.bytes_out),
-                static_cast<unsigned long long>(s.frames_in),
-                static_cast<unsigned long long>(s.frames_out),
-                static_cast<unsigned long long>(s.writev_calls),
-                s.frames_per_writev(),
-                static_cast<unsigned long long>(s.connects),
-                static_cast<unsigned long long>(s.reconnects),
-                static_cast<unsigned long long>(s.accepts),
-                static_cast<unsigned long long>(s.backpressure_drops),
-                static_cast<unsigned long long>(s.unrouted_drops),
-                static_cast<unsigned long long>(s.decode_errors));
-  return buf;
+  std::ostringstream os;
+  os << "{\"bytes_in\": " << s.bytes_in << ", "
+     << "\"bytes_out\": " << s.bytes_out << ", "
+     << "\"frames_in\": " << s.frames_in << ", "
+     << "\"frames_out\": " << s.frames_out << ", "
+     << "\"writev_calls\": " << s.writev_calls << ", "
+     << "\"frames_per_writev\": " << std::fixed << std::setprecision(3)
+     << s.frames_per_writev() << ", "
+     << "\"wakes\": " << s.wakes << ", "
+     << "\"reads\": " << s.reads << ", "
+     << "\"connects\": " << s.connects << ", "
+     << "\"reconnects\": " << s.reconnects << ", "
+     << "\"accepts\": " << s.accepts << ", "
+     << "\"backpressure_drops\": " << s.backpressure_drops << ", "
+     << "\"unrouted_drops\": " << s.unrouted_drops << ", "
+     << "\"decode_errors\": " << s.decode_errors << "}";
+  return os.str();
 }
 
 }  // namespace

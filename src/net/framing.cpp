@@ -2,8 +2,10 @@
 
 #include <sys/uio.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 namespace sbft::net {
 
@@ -53,7 +55,7 @@ std::size_t FrameDecoder::frame_length_at(std::size_t pos) noexcept {
   if (filled_ - pos < kFramePrefixBytes) {
     return std::numeric_limits<std::size_t>::max();
   }
-  const std::size_t len = read_u32(staging_.data() + pos);
+  const std::size_t len = read_u32(staging_.get() + pos);
   if (len > max_frame_bytes_) {
     failed_ = true;
     return std::numeric_limits<std::size_t>::max();
@@ -62,31 +64,42 @@ std::size_t FrameDecoder::frame_length_at(std::size_t pos) noexcept {
 }
 
 FrameDecoder::WriteArea FrameDecoder::prepare() {
-  // Size the buffer for at least one chunk of fresh input — or, when the
-  // current frame's length is already known, for the whole remainder of
-  // that frame (one resize instead of many for bodies above chunk size).
-  // A length is only used for sizing after its plausibility check passed.
-  std::size_t want = chunk_bytes_;
-  if (!failed_ && filled_ >= kFramePrefixBytes) {
+  if (!large_.empty()) {
+    return {large_.data() + filled_, large_.size() - filled_};
+  }
+  if (!staging_) {
+    staging_ = std::make_unique_for_overwrite<std::uint8_t[]>(chunk_bytes_);
+  }
+  // The partial frame always starts at offset 0 (commit() moves it there).
+  // If it cannot fit the staging buffer, the rest of it is read into one
+  // buffer of exactly the frame's size, which commit() seals without a
+  // copy. The length sizes that buffer only after its plausibility check.
+  if (!failed_) {
     const std::size_t len = frame_length_at(0);
-    if (!failed_ && len != std::numeric_limits<std::size_t>::max()) {
-      const std::size_t frame_total = kFramePrefixBytes + len;
-      if (frame_total > filled_) {
-        want = std::max(want, frame_total - filled_);
-      }
+    if (!failed_ && len != std::numeric_limits<std::size_t>::max() &&
+        kFramePrefixBytes + len > chunk_bytes_) {
+      large_.resize(kFramePrefixBytes + len);
+      std::memcpy(large_.data(), staging_.get(), filled_);
+      return {large_.data() + filled_, large_.size() - filled_};
     }
   }
-  if (staging_.size() - filled_ < want) {
-    staging_.resize(filled_ + want);
-  }
-  return {staging_.data() + filled_, staging_.size() - filled_};
+  return {staging_.get() + filled_, chunk_bytes_ - filled_};
 }
 
 bool FrameDecoder::commit(std::size_t n, std::vector<SharedBytes>& out) {
   if (failed_) return false;
   filled_ += n;
 
-  // Scan for complete frames first; seal the buffer only if there is one.
+  if (!large_.empty()) {
+    if (filled_ < large_.size()) return true;
+    const std::size_t len = large_.size() - kFramePrefixBytes;
+    out.push_back(SharedBytes(std::exchange(large_, {}))
+                      .slice(kFramePrefixBytes, len));
+    filled_ = 0;
+    return true;
+  }
+
+  // Scan for complete frames first; seal only if there is one.
   std::size_t pos = 0;
   std::size_t complete = 0;
   while (true) {
@@ -101,17 +114,12 @@ bool FrameDecoder::commit(std::size_t n, std::vector<SharedBytes>& out) {
   }
   if (complete == 0) return true;
 
-  // Seal: the staging buffer becomes immutable; frames slice it. The
-  // partial tail (if any) seeds the next staging buffer — the only bytes
-  // ever copied after the socket read, bounded by one frame.
-  const std::size_t tail = filled_ - pos;
-  Bytes sealed = std::move(staging_);
-  sealed.resize(filled_);
-  staging_ = Bytes(sealed.end() - static_cast<std::ptrdiff_t>(tail),
-                   sealed.end());
-  filled_ = tail;
+  // Seal a copy of exactly the complete frames; the partial tail (at most
+  // one frame) moves to the front of the staging buffer.
+  const SharedBytes buffer = SharedBytes::copy_of({staging_.get(), pos});
+  std::memmove(staging_.get(), staging_.get() + pos, filled_ - pos);
+  filled_ -= pos;
 
-  const SharedBytes buffer(std::move(sealed));
   std::size_t at = 0;
   for (std::size_t i = 0; i < complete; ++i) {
     const std::size_t len = read_u32(buffer.data() + at);
@@ -122,7 +130,7 @@ bool FrameDecoder::commit(std::size_t n, std::vector<SharedBytes>& out) {
 }
 
 void FrameDecoder::reset() {
-  staging_.clear();
+  large_ = {};
   filled_ = 0;
   failed_ = false;
 }

@@ -8,13 +8,15 @@
 //
 // Both directions are allocation-disciplined:
 //
-//  * Ingest (FrameDecoder): socket reads land in a mutable staging buffer;
-//    the moment it holds at least one complete frame the buffer is SEALED
-//    into an immutable SharedBytes and every complete frame is emitted as a
-//    slice of it — Envelope::from_frame() then aliases that slice, so past
-//    the socket read the bytes of a complete frame are never copied again.
-//    Only a partial frame's tail is carried (copied) into the next staging
-//    buffer, bounded by one frame.
+//  * Ingest (FrameDecoder): socket reads land in a per-connection staging
+//    buffer allocated once, at chunk size, and never zero-filled. The
+//    moment it holds at least one complete frame, exactly those frames'
+//    bytes are copied into one immutable SharedBytes and every complete
+//    frame is emitted as a slice of it — Envelope::from_frame() then
+//    aliases that slice, so a sealed buffer holds only its own frames and
+//    a retained slice pins nothing else. The partial tail moves to the
+//    front of the staging buffer. A frame longer than the chunk is read
+//    into a buffer sized to the whole frame and sealed without a copy.
 //  * Egress (SendQueue): envelopes are queued WITHOUT building their wire
 //    image. Each one is flushed as four writev segments — a 20-byte scratch
 //    head (length prefix | src | dst), the shared signing-input frame
@@ -34,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/frame.hpp"
@@ -68,8 +71,9 @@ class FrameDecoder {
   explicit FrameDecoder(std::size_t max_frame_bytes = kDefaultMaxFrameBytes,
                         std::size_t read_chunk_bytes = 64u << 10);
 
-  /// Writable region for the next socket read. Never smaller than one
-  /// chunk; sized from a length prefix only after its plausibility check.
+  /// Writable region for the next socket read: the staging buffer's free
+  /// space or, for a frame longer than the chunk, the rest of that frame.
+  /// Sized from a length prefix only after its plausibility check.
   struct WriteArea {
     std::uint8_t* data;
     std::size_t size;
@@ -77,9 +81,10 @@ class FrameDecoder {
   [[nodiscard]] WriteArea prepare();
 
   /// Consumes `n` bytes just read into prepare()'s area. Complete frames
-  /// are appended to `out` as slices of the sealed read buffer (zero-copy).
-  /// Returns false on a protocol error (implausible length prefix) — the
-  /// connection must be reset; the decoder is poisoned until reset().
+  /// are appended to `out` as slices of one sealed buffer holding exactly
+  /// those frames. Returns false on a protocol error (implausible length
+  /// prefix) — the connection must be reset; the decoder is poisoned until
+  /// reset().
   [[nodiscard]] bool commit(std::size_t n, std::vector<SharedBytes>& out);
 
   /// Bytes of a partial frame (prefix or body) awaiting more input.
@@ -88,14 +93,15 @@ class FrameDecoder {
   void reset();
 
  private:
-  /// Length of the frame starting at `pos`, or SIZE_MAX if the prefix is
-  /// still incomplete. Sets failed_ on an implausible length.
+  /// Length of the frame starting at staging offset `pos`, or SIZE_MAX if
+  /// the prefix is still incomplete. Sets failed_ on an implausible length.
   [[nodiscard]] std::size_t frame_length_at(std::size_t pos) noexcept;
 
   std::size_t max_frame_bytes_;
   std::size_t chunk_bytes_;
-  Bytes staging_;
-  std::size_t filled_{0};
+  std::unique_ptr<std::uint8_t[]> staging_;  // chunk_bytes_, on first use
+  Bytes large_;  // the frame longer than the chunk being read, if any
+  std::size_t filled_{0};  // bytes held in large_ if non-empty, else staging_
   bool failed_{false};
 };
 

@@ -31,6 +31,11 @@ constexpr std::size_t kPreambleBytes = 16;
 /// while staying far under IOV_MAX (1024).
 constexpr std::size_t kMaxSendIovecs = 256;
 
+/// The transport whose event loop runs on this thread, if any. A send()
+/// made on that thread (from a delivery handler) needs no wake: the loop
+/// flushes every non-empty peer queue after delivery, in the same pass.
+thread_local const TcpTransport* t_loop_owner = nullptr;
+
 [[nodiscard]] Micros now_us() {
   static const SteadyClock clock;
   return clock.now();
@@ -258,7 +263,7 @@ void TcpTransport::shutdown() {
   if (!listen_path_.empty()) ::unlink(listen_path_.c_str());
 }
 
-void TcpTransport::wake() const {
+void TcpTransport::wake() {
   // mu_ also guards the wake fd's LIFETIME: shutdown() closes and resets
   // it under the same lock, so a concurrent send() can never write into a
   // closed (and possibly kernel-reused) descriptor.
@@ -267,6 +272,7 @@ void TcpTransport::wake() const {
     const std::uint64_t one = 1;
     [[maybe_unused]] const auto n =
         ::write(loop_->wake_fd, &one, sizeof(one));
+    counters_.wakes.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -275,6 +281,8 @@ void TcpTransport::send(Envelope env) {
   if (dst_node == self_) {
     // Local loopback: enqueue for the event loop — NEVER deliver inline
     // (the caller may be a handler already holding its engine's lock).
+    // Always wake, even from the loop thread: an envelope queued during
+    // delivery is only picked up by the loop's next iteration.
     {
       const std::scoped_lock lock(mu_);
       local_.push_back(std::move(env));
@@ -310,7 +318,7 @@ void TcpTransport::send(Envelope env) {
     counters_.state_bytes_out.fetch_add(frame_bytes,
                                         std::memory_order_relaxed);
   }
-  wake();
+  if (t_loop_owner != this) wake();
 }
 
 bool TcpTransport::is_state_type(std::uint32_t type) const noexcept {
@@ -337,6 +345,8 @@ TransportStats TcpTransport::stats() const {
   s.frames_in = counters_.frames_in.load(std::memory_order_relaxed);
   s.frames_out = counters_.frames_out.load(std::memory_order_relaxed);
   s.writev_calls = counters_.writev_calls.load(std::memory_order_relaxed);
+  s.wakes = counters_.wakes.load(std::memory_order_relaxed);
+  s.reads = counters_.reads.load(std::memory_order_relaxed);
   s.connects = counters_.connects.load(std::memory_order_relaxed);
   s.reconnects = counters_.reconnects.load(std::memory_order_relaxed);
   s.accepts = counters_.accepts.load(std::memory_order_relaxed);
@@ -372,6 +382,7 @@ void TcpTransport::deliver(Envelope env) {
 
 void TcpTransport::loop_main() {
   using State = Peer::State;
+  t_loop_owner = this;
   std::vector<epoll_event> events(128);
   std::vector<SharedBytes> frames;
   std::vector<Envelope> inbound;
@@ -524,6 +535,7 @@ void TcpTransport::loop_main() {
           if (errno == EINTR) continue;
           return false;
         }
+        counters_.reads.fetch_add(1, std::memory_order_relaxed);
         conn.hello_got += static_cast<std::size_t>(r);
         if (conn.hello_got < kPreambleBytes) continue;
         if (std::memcmp(conn.hello.data(), kMagic.data(), kMagic.size()) !=
@@ -542,6 +554,7 @@ void TcpTransport::loop_main() {
         if (errno == EINTR) continue;
         return false;
       }
+      counters_.reads.fetch_add(1, std::memory_order_relaxed);
       counters_.bytes_in.fetch_add(static_cast<std::uint64_t>(r),
                                    std::memory_order_relaxed);
       frames.clear();
@@ -632,9 +645,12 @@ void TcpTransport::loop_main() {
 
       switch (kind) {
         case FdKind::Wake: {
+          // One read returns and zeroes the whole count (not a semaphore
+          // eventfd); the fd is edge-triggered, so a wake that lands after
+          // it raises a fresh event.
           std::uint64_t drain;
-          while (::read(loop_->wake_fd, &drain, sizeof(drain)) > 0) {
-          }
+          [[maybe_unused]] const auto r =
+              ::read(loop_->wake_fd, &drain, sizeof(drain));
           break;
         }
         case FdKind::Listen:

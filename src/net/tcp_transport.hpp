@@ -24,11 +24,18 @@
 //    allocation across every peer queue — per-recipient byte copies: zero.
 //    Backpressure: a full queue drops the NEWEST envelope (counted); BFT
 //    protocols treat the network as lossy, so clients retransmit.
-//  * Ingress: edge-triggered reads land in a FrameDecoder staging buffer;
-//    complete frames are emitted as slices of the sealed read buffer and
-//    parsed with Envelope::from_frame() — no copies past the socket read.
-//    Delivery runs on the event-loop thread; handlers may call send()
-//    re-entrantly (the loop holds no locks during delivery).
+//  * Ingress: edge-triggered reads land in the connection's FrameDecoder
+//    staging buffer (allocated once); the complete frames of each read are
+//    sealed into one buffer of exactly their bytes and parsed as slices of
+//    it with Envelope::from_frame(). Delivery runs on the event-loop
+//    thread; handlers may call send() re-entrantly (the loop holds no
+//    locks during delivery).
+//  * Wakes: a send() from another thread writes the loop's eventfd. A
+//    send() made on the loop thread itself (from a handler) does not: the
+//    loop flushes every non-empty peer queue right after delivery. Only a
+//    self-routed envelope wakes from the loop thread, since the local
+//    queue is swapped out once per iteration. TransportStats::wakes and
+//    ::reads count eventfd writes and ingress reads.
 //  * Reconnect: a broken or refused outbound connection retries with
 //    exponential backoff (min..max); the un-flushed queue survives and the
 //    partially-written front frame is rewound to its boundary so the fresh
@@ -65,6 +72,8 @@ struct TransportStats {
   std::uint64_t frames_in{0};
   std::uint64_t frames_out{0};
   std::uint64_t writev_calls{0};
+  std::uint64_t wakes{0};               // eventfd writes
+  std::uint64_t reads{0};               // ingress recv calls that got bytes
   std::uint64_t connects{0};            // successful establishments
   std::uint64_t reconnects{0};          // establishments after a break
   std::uint64_t accepts{0};
@@ -158,6 +167,7 @@ class TcpTransport final : public Transport {
     std::atomic<std::uint64_t> bytes_in{0}, bytes_out{0};
     std::atomic<std::uint64_t> frames_in{0}, frames_out{0};
     std::atomic<std::uint64_t> writev_calls{0};
+    std::atomic<std::uint64_t> wakes{0}, reads{0};
     std::atomic<std::uint64_t> connects{0}, reconnects{0}, accepts{0};
     std::atomic<std::uint64_t> backpressure_drops{0}, unrouted_drops{0};
     std::atomic<std::uint64_t> decode_errors{0};
@@ -171,7 +181,7 @@ class TcpTransport final : public Transport {
 
   void loop_main();
   void deliver(Envelope env);
-  void wake() const;
+  void wake();
   [[nodiscard]] bool is_state_type(std::uint32_t type) const noexcept;
 
   NodeId self_;

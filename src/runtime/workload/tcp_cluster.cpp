@@ -334,6 +334,8 @@ Report run_tcp_workload(const Options& options,
     t.frames_in += stats.frames_in;
     t.frames_out += stats.frames_out;
     t.writev_calls += stats.writev_calls;
+    t.wakes += stats.wakes;
+    t.reads += stats.reads;
     t.reconnects += stats.reconnects;
     t.backpressure_drops += stats.backpressure_drops;
     t.state_frames_in += stats.state_frames_in;

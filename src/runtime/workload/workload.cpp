@@ -266,6 +266,8 @@ std::string report_json(const Options& options, const Report& report) {
      << "\"frames_out\": " << report.transport.frames_out << ", "
      << "\"writev_calls\": " << report.transport.writev_calls << ", "
      << "\"frames_per_writev\": " << report.transport.frames_per_writev << ", "
+     << "\"wakes\": " << report.transport.wakes << ", "
+     << "\"reads\": " << report.transport.reads << ", "
      << "\"reconnects\": " << report.transport.reconnects << ", "
      << "\"backpressure_drops\": " << report.transport.backpressure_drops
      << ", "

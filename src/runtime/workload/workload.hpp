@@ -159,6 +159,8 @@ struct Report {
     std::uint64_t frames_out{0};
     std::uint64_t writev_calls{0};
     double frames_per_writev{0};
+    std::uint64_t wakes{0};  // eventfd writes (not loop-thread sends)
+    std::uint64_t reads{0};  // ingress recv calls that returned bytes
     std::uint64_t reconnects{0};
     std::uint64_t backpressure_drops{0};
     /// State-transfer traffic split out from the totals above (recovery

@@ -174,6 +174,114 @@ TEST(FrameDecoder, LengthJustAboveBoundRejectedJustBelowAccepted) {
   EXPECT_EQ(frames.size(), 1u);
 }
 
+TEST(FrameDecoder, SealedBufferHoldsOnlyCompleteFrames) {
+  // Three small frames and the first half of a fourth arrive in one read.
+  // The commit allocates ONE buffer of exactly the three frames' bytes,
+  // length prefixes included: not a read chunk, and not the partial tail.
+  const Bytes a = framed(make_envelope(1, 2, "alpha"));
+  const Bytes b = framed(make_envelope(3, 4, "bravo, a little longer"));
+  const Bytes c = framed(make_envelope(5, 6, "charlie"));
+  const Bytes d = framed(make_envelope(7, 8, "delta arrives in two reads"));
+  Bytes stream = a;
+  stream.insert(stream.end(), b.begin(), b.end());
+  stream.insert(stream.end(), c.begin(), c.end());
+  const std::size_t complete_bytes = stream.size();
+  const std::size_t half = d.size() / 2;
+  stream.insert(stream.end(), d.begin(),
+                d.begin() + static_cast<std::ptrdiff_t>(half));
+
+  FrameDecoder decoder(kDefaultMaxFrameBytes, /*read_chunk_bytes=*/256u << 10);
+  std::vector<SharedBytes> frames;
+  auto area = decoder.prepare();
+  ASSERT_GE(area.size, stream.size());
+  std::memcpy(area.data, stream.data(), stream.size());
+  const FrameAllocStats before = SharedBytes::alloc_stats();
+  ASSERT_TRUE(decoder.commit(stream.size(), frames));
+  const FrameAllocStats after = SharedBytes::alloc_stats();
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(after.allocations - before.allocations, 1u);
+  EXPECT_EQ(after.bytes - before.bytes, complete_bytes);
+  EXPECT_EQ(decoder.buffered(), half);
+
+  // The rest of the fourth frame: again one buffer of exactly its bytes.
+  area = decoder.prepare();
+  ASSERT_GE(area.size, d.size() - half);
+  std::memcpy(area.data, d.data() + half, d.size() - half);
+  const FrameAllocStats before_d = SharedBytes::alloc_stats();
+  ASSERT_TRUE(decoder.commit(d.size() - half, frames));
+  const FrameAllocStats after_d = SharedBytes::alloc_stats();
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(after_d.allocations - before_d.allocations, 1u);
+  EXPECT_EQ(after_d.bytes - before_d.bytes, d.size());
+  EXPECT_EQ(frames[3].to_bytes(),
+            Bytes(d.begin() + kFramePrefixBytes, d.end()));
+  EXPECT_EQ(decoder.buffered(), 0u);
+}
+
+TEST(FrameDecoder, FrameLongerThanChunkArrivesWhole) {
+  // A frame above the chunk size is read into one buffer sized to the
+  // frame: after the first chunk, prepare() offers exactly the rest of it,
+  // and the commit that completes it seals that buffer without a copy.
+  constexpr std::size_t kChunk = 512;
+  const Envelope big = make_envelope(1, 2, std::string(5000, 'x'));
+  const Envelope next = make_envelope(3, 4, "small frame after it");
+  const Bytes big_stream = framed(big);
+  const Bytes next_stream = framed(next);
+
+  FrameDecoder decoder(kDefaultMaxFrameBytes, kChunk);
+  std::vector<SharedBytes> frames;
+  auto area = decoder.prepare();
+  ASSERT_EQ(area.size, kChunk);
+  std::memcpy(area.data, big_stream.data(), kChunk);
+  ASSERT_TRUE(decoder.commit(kChunk, frames));
+  EXPECT_TRUE(frames.empty());
+
+  area = decoder.prepare();
+  ASSERT_EQ(area.size, big_stream.size() - kChunk);
+  std::memcpy(area.data, big_stream.data() + kChunk, area.size);
+  const FrameAllocStats before = SharedBytes::alloc_stats();
+  ASSERT_TRUE(decoder.commit(area.size, frames));
+  const FrameAllocStats after = SharedBytes::alloc_stats();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(*Envelope::from_frame(frames[0]), big);
+  EXPECT_EQ(after.allocations - before.allocations, 1u);
+  EXPECT_EQ(after.bytes - before.bytes, big_stream.size());
+
+  // Back to the staging buffer for the frames that follow.
+  frames.clear();
+  ASSERT_TRUE(feed(decoder, next_stream, frames));
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(*Envelope::from_frame(frames[0]), next);
+  EXPECT_EQ(decoder.buffered(), 0u);
+}
+
+TEST(FrameDecoder, EveryChunkSplitAroundAFrameLongerThanChunk) {
+  // small | large (above the chunk) | small, split at every byte boundary:
+  // the switch to and from the frame-sized buffer must lose no byte.
+  constexpr std::size_t kChunk = 512;
+  const Envelope a = make_envelope(1, 2, "before");
+  const Envelope big = make_envelope(3, 4, std::string(700, 'y'));
+  const Envelope c = make_envelope(5, 6, "after");
+  Bytes stream = framed(a);
+  for (const Envelope* env : {&big, &c}) {
+    const Bytes more = framed(*env);
+    stream.insert(stream.end(), more.begin(), more.end());
+  }
+  for (std::size_t split = 0; split <= stream.size(); ++split) {
+    FrameDecoder decoder(kDefaultMaxFrameBytes, kChunk);
+    std::vector<SharedBytes> frames;
+    ASSERT_TRUE(feed(decoder, ByteView{stream.data(), split}, frames));
+    ASSERT_TRUE(feed(
+        decoder, ByteView{stream.data() + split, stream.size() - split},
+        frames));
+    ASSERT_EQ(frames.size(), 3u) << "split at " << split;
+    EXPECT_EQ(*Envelope::from_frame(frames[0]), a);
+    EXPECT_EQ(*Envelope::from_frame(frames[1]), big);
+    EXPECT_EQ(*Envelope::from_frame(frames[2]), c);
+    EXPECT_EQ(decoder.buffered(), 0u);
+  }
+}
+
 // --------------------------------------------------------------- SendQueue
 
 /// Drains the queue `step` bytes per "write" and returns the byte stream.
@@ -411,6 +519,101 @@ TEST(TcpTransport, SelfRoutedEnvelopesLoopBackWithoutSockets) {
   node.register_endpoint(1, [&](Envelope env) { local.on(std::move(env)); });
   node.send(make_envelope(2, 1, "to myself"));
   ASSERT_TRUE(local.wait_for(1));
+  node.shutdown();
+}
+
+TEST(TcpTransport, HandlerEchoWindowCompletes) {
+  // Ping-pong from the delivery handlers with a window of messages in
+  // flight: node 1 echoes every ping, node 0 answers every echo with the
+  // next ping. Handler sends run on the loop thread and must not write the
+  // eventfd; only sends from other threads (the first window, a burst
+  // fired while both loops are busy) may. A lost wake would strand
+  // messages and miss the deadline.
+  constexpr std::uint64_t kWindow = 1000;
+  constexpr std::uint64_t kBurst = 1000;
+  constexpr std::uint64_t kRoundTrips = 200'000;
+  TcpTransport::Options options;
+  options.listen_addr = "127.0.0.1:0";
+  TcpTransport node0(0, options, two_node_route());
+  TcpTransport node1(1, options, two_node_route());
+
+  std::atomic<std::uint64_t> issued{0};
+  std::atomic<std::uint64_t> completed{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  node1.register_endpoint(2, [&](Envelope env) {
+    env.src = 2;
+    env.dst = 1;
+    node1.send(std::move(env));
+  });
+  node0.register_endpoint(1, [&](Envelope env) {
+    if (issued.fetch_add(1, std::memory_order_relaxed) < kRoundTrips) {
+      env.src = 1;
+      env.dst = 2;
+      node0.send(std::move(env));
+    }
+    if (completed.fetch_add(1, std::memory_order_relaxed) + 1 ==
+        kRoundTrips) {
+      const std::scoped_lock lock(mu);
+      cv.notify_all();
+    }
+  });
+  ASSERT_TRUE(node0.start()) << node0.last_error();
+  ASSERT_TRUE(node1.start()) << node1.last_error();
+  node0.add_peer(1, "127.0.0.1:" + std::to_string(node1.listen_port()));
+  node1.add_peer(0, "127.0.0.1:" + std::to_string(node0.listen_port()));
+
+  const auto ping = [&] {
+    issued.fetch_add(1, std::memory_order_relaxed);
+    node0.send(make_envelope(1, 2, "ping"));
+  };
+  for (std::uint64_t i = 0; i < kWindow; ++i) ping();
+  std::thread burst([&] {
+    while (completed.load(std::memory_order_relaxed) < 20'000) {
+      std::this_thread::yield();
+    }
+    for (std::uint64_t i = 0; i < kBurst; ++i) ping();
+  });
+  {
+    std::unique_lock lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(120), [&] {
+      return completed.load(std::memory_order_relaxed) >= kRoundTrips;
+    })) << completed.load() << " of " << kRoundTrips << " round trips";
+  }
+  burst.join();
+
+  // Stop both loops first: a loop counts its written frames only after
+  // the peer may already have acted on them. shutdown() wakes once.
+  node0.shutdown();
+  node1.shutdown();
+  const TransportStats s0 = node0.stats();
+  const TransportStats s1 = node1.stats();
+  EXPECT_EQ(s0.wakes, kWindow + kBurst + 1);
+  EXPECT_EQ(s1.wakes, 1u);
+  EXPECT_EQ(s0.frames_out, kRoundTrips);
+  EXPECT_EQ(s1.frames_out, kRoundTrips);
+  EXPECT_GT(s1.reads, 0u);
+  EXPECT_LE(s1.reads, s1.frames_in + 1);  // + the dialer's preamble read
+}
+
+TEST(TcpTransport, HandlerSelfRoutedSendIsDelivered) {
+  // A handler sends to a principal on its own node. The envelope sits in
+  // the local queue, which the loop swaps out once per iteration, so this
+  // send must wake the loop even though it runs on the loop thread.
+  TcpTransport node(0, {}, [](principal::Id) {
+    return TcpTransport::NodeId{0};
+  });
+  Receiver local;
+  node.register_endpoint(1, [&](Envelope env) {
+    env.src = 1;
+    env.dst = 3;
+    node.send(std::move(env));
+  });
+  node.register_endpoint(3, [&](Envelope env) { local.on(std::move(env)); });
+  ASSERT_TRUE(node.start());
+  node.send(make_envelope(2, 1, "relay me"));
+  ASSERT_TRUE(local.wait_for(1));
+  EXPECT_EQ(local.snapshot()[0].payload, to_bytes("relay me"));
   node.shutdown();
 }
 
