@@ -29,6 +29,12 @@ void Writer::raw(ByteView data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
+std::uint8_t* Writer::extend(std::size_t n) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  return buf_.data() + at;
+}
+
 void Writer::str(const std::string& s) {
   bytes(ByteView{reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
 }

@@ -20,6 +20,11 @@ class Writer {
   Writer() { buf_.reserve(kShortMessage); }
   /// Exactly `capacity` bytes up front, for encoders that know their size.
   explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
+  /// Writes into `reuse`'s storage from the start: its capacity is kept,
+  /// so a caller that hands its last take() back allocates only to grow.
+  explicit Writer(Bytes&& reuse) noexcept : buf_(std::move(reuse)) {
+    buf_.clear();
+  }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
@@ -31,6 +36,10 @@ class Writer {
   void raw(ByteView data);
   void str(const std::string& s);
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// Appends `n` zero bytes and returns where they start, for a caller
+  /// that fills them in place (a ciphertext sealed straight into the
+  /// message, say). Valid until the next write.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n);
 
   /// Pre-sizes the buffer for `n` more bytes of writes. Hot paths that know
   /// their encoded size (envelope serialization, signing input) call this

@@ -86,200 +86,238 @@ void chacha20_xor(const Key32& key, const Nonce12& nonce, std::uint32_t counter,
   }
 }
 
-Tag16 poly1305(const Key32& key, ByteView data) noexcept {
-  // 26-bit limb implementation (poly1305-donna style).
-  const std::uint32_t r0 = load_le32(key.data() + 0) & 0x3ffffff;
-  const std::uint32_t r1 = (load_le32(key.data() + 3) >> 2) & 0x3ffff03;
-  const std::uint32_t r2 = (load_le32(key.data() + 6) >> 4) & 0x3ffc0ff;
-  const std::uint32_t r3 = (load_le32(key.data() + 9) >> 6) & 0x3f03fff;
-  const std::uint32_t r4 = (load_le32(key.data() + 12) >> 8) & 0x00fffff;
-
-  const std::uint32_t s1 = r1 * 5;
-  const std::uint32_t s2 = r2 * 5;
-  const std::uint32_t s3 = r3 * 5;
-  const std::uint32_t s4 = r4 * 5;
-
-  std::uint32_t h0 = 0, h1 = 0, h2 = 0, h3 = 0, h4 = 0;
-
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    std::array<std::uint8_t, 16> block{};
-    const std::size_t take = std::min<std::size_t>(16, data.size() - pos);
-    std::memcpy(block.data(), data.data() + pos, take);
-    std::uint32_t hibit = 1u << 24;
-    if (take < 16) {
-      block[take] = 1;
-      hibit = 0;
-    }
-    pos += take;
-
-    h0 += load_le32(block.data() + 0) & 0x3ffffff;
-    h1 += (load_le32(block.data() + 3) >> 2) & 0x3ffffff;
-    h2 += (load_le32(block.data() + 6) >> 4) & 0x3ffffff;
-    h3 += (load_le32(block.data() + 9) >> 6) & 0x3ffffff;
-    h4 += (load_le32(block.data() + 12) >> 8) | hibit;
-
-    const std::uint64_t d0 =
-        static_cast<std::uint64_t>(h0) * r0 + static_cast<std::uint64_t>(h1) * s4 +
-        static_cast<std::uint64_t>(h2) * s3 + static_cast<std::uint64_t>(h3) * s2 +
-        static_cast<std::uint64_t>(h4) * s1;
-    std::uint64_t d1 =
-        static_cast<std::uint64_t>(h0) * r1 + static_cast<std::uint64_t>(h1) * r0 +
-        static_cast<std::uint64_t>(h2) * s4 + static_cast<std::uint64_t>(h3) * s3 +
-        static_cast<std::uint64_t>(h4) * s2;
-    std::uint64_t d2 =
-        static_cast<std::uint64_t>(h0) * r2 + static_cast<std::uint64_t>(h1) * r1 +
-        static_cast<std::uint64_t>(h2) * r0 + static_cast<std::uint64_t>(h3) * s4 +
-        static_cast<std::uint64_t>(h4) * s3;
-    std::uint64_t d3 =
-        static_cast<std::uint64_t>(h0) * r3 + static_cast<std::uint64_t>(h1) * r2 +
-        static_cast<std::uint64_t>(h2) * r1 + static_cast<std::uint64_t>(h3) * r0 +
-        static_cast<std::uint64_t>(h4) * s4;
-    std::uint64_t d4 =
-        static_cast<std::uint64_t>(h0) * r4 + static_cast<std::uint64_t>(h1) * r3 +
-        static_cast<std::uint64_t>(h2) * r2 + static_cast<std::uint64_t>(h3) * r1 +
-        static_cast<std::uint64_t>(h4) * r0;
-
-    std::uint64_t c = d0 >> 26;
-    h0 = static_cast<std::uint32_t>(d0) & 0x3ffffff;
-    d1 += c;
-    c = d1 >> 26;
-    h1 = static_cast<std::uint32_t>(d1) & 0x3ffffff;
-    d2 += c;
-    c = d2 >> 26;
-    h2 = static_cast<std::uint32_t>(d2) & 0x3ffffff;
-    d3 += c;
-    c = d3 >> 26;
-    h3 = static_cast<std::uint32_t>(d3) & 0x3ffffff;
-    d4 += c;
-    c = d4 >> 26;
-    h4 = static_cast<std::uint32_t>(d4) & 0x3ffffff;
-    h0 += static_cast<std::uint32_t>(c) * 5;
-    c = h0 >> 26;
-    h0 &= 0x3ffffff;
-    h1 += static_cast<std::uint32_t>(c);
-  }
-
-  // Full carry propagation.
-  std::uint32_t c = h1 >> 26;
-  h1 &= 0x3ffffff;
-  h2 += c;
-  c = h2 >> 26;
-  h2 &= 0x3ffffff;
-  h3 += c;
-  c = h3 >> 26;
-  h3 &= 0x3ffffff;
-  h4 += c;
-  c = h4 >> 26;
-  h4 &= 0x3ffffff;
-  h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x3ffffff;
-  h1 += c;
-
-  // Compute h + -p and select.
-  std::uint32_t g0 = h0 + 5;
-  c = g0 >> 26;
-  g0 &= 0x3ffffff;
-  std::uint32_t g1 = h1 + c;
-  c = g1 >> 26;
-  g1 &= 0x3ffffff;
-  std::uint32_t g2 = h2 + c;
-  c = g2 >> 26;
-  g2 &= 0x3ffffff;
-  std::uint32_t g3 = h3 + c;
-  c = g3 >> 26;
-  g3 &= 0x3ffffff;
-  std::uint32_t g4 = h4 + c - (1u << 26);
-
-  std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if g4 >= 0 (h >= p)
-  g0 &= mask;
-  g1 &= mask;
-  g2 &= mask;
-  g3 &= mask;
-  g4 &= mask;
-  mask = ~mask;
-  h0 = (h0 & mask) | g0;
-  h1 = (h1 & mask) | g1;
-  h2 = (h2 & mask) | g2;
-  h3 = (h3 & mask) | g3;
-  h4 = (h4 & mask) | g4;
-
-  // h %= 2^128, serialize and add s.
-  h0 = (h0 | (h1 << 26)) & 0xffffffff;
-  h1 = ((h1 >> 6) | (h2 << 20)) & 0xffffffff;
-  h2 = ((h2 >> 12) | (h3 << 14)) & 0xffffffff;
-  h3 = ((h3 >> 18) | (h4 << 8)) & 0xffffffff;
-
-  std::uint64_t f = static_cast<std::uint64_t>(h0) + load_le32(key.data() + 16);
-  h0 = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(h1) + load_le32(key.data() + 20) + (f >> 32);
-  h1 = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(h2) + load_le32(key.data() + 24) + (f >> 32);
-  h2 = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(h3) + load_le32(key.data() + 28) + (f >> 32);
-  h3 = static_cast<std::uint32_t>(f);
-
-  Tag16 tag;
-  store_le32(tag.data() + 0, h0);
-  store_le32(tag.data() + 4, h1);
-  store_le32(tag.data() + 8, h2);
-  store_le32(tag.data() + 12, h3);
-  return tag;
-}
-
 namespace {
 
+/// Poly1305 accumulator (26-bit limbs, poly1305-donna style). Fed whole
+/// 16-byte blocks; `hibit` is 2^128 for a full block and 0 for the
+/// one-shot MAC's padded final block.
+class Poly1305 {
+ public:
+  explicit Poly1305(const Key32& key) noexcept
+      : r0_(load_le32(key.data() + 0) & 0x3ffffff),
+        r1_((load_le32(key.data() + 3) >> 2) & 0x3ffff03),
+        r2_((load_le32(key.data() + 6) >> 4) & 0x3ffc0ff),
+        r3_((load_le32(key.data() + 9) >> 6) & 0x3f03fff),
+        r4_((load_le32(key.data() + 12) >> 8) & 0x00fffff),
+        pad_{load_le32(key.data() + 16), load_le32(key.data() + 20),
+             load_le32(key.data() + 24), load_le32(key.data() + 28)} {}
+
+  void block(const std::uint8_t* m, std::uint32_t hibit) noexcept {
+    const std::uint32_t s1 = r1_ * 5;
+    const std::uint32_t s2 = r2_ * 5;
+    const std::uint32_t s3 = r3_ * 5;
+    const std::uint32_t s4 = r4_ * 5;
+
+    h0_ += load_le32(m + 0) & 0x3ffffff;
+    h1_ += (load_le32(m + 3) >> 2) & 0x3ffffff;
+    h2_ += (load_le32(m + 6) >> 4) & 0x3ffffff;
+    h3_ += (load_le32(m + 9) >> 6) & 0x3ffffff;
+    h4_ += (load_le32(m + 12) >> 8) | hibit;
+
+    const auto mul = [](std::uint32_t a, std::uint32_t b) {
+      return static_cast<std::uint64_t>(a) * b;
+    };
+    const std::uint64_t d0 = mul(h0_, r0_) + mul(h1_, s4) + mul(h2_, s3) +
+                             mul(h3_, s2) + mul(h4_, s1);
+    std::uint64_t d1 = mul(h0_, r1_) + mul(h1_, r0_) + mul(h2_, s4) +
+                       mul(h3_, s3) + mul(h4_, s2);
+    std::uint64_t d2 = mul(h0_, r2_) + mul(h1_, r1_) + mul(h2_, r0_) +
+                       mul(h3_, s4) + mul(h4_, s3);
+    std::uint64_t d3 = mul(h0_, r3_) + mul(h1_, r2_) + mul(h2_, r1_) +
+                       mul(h3_, r0_) + mul(h4_, s4);
+    std::uint64_t d4 = mul(h0_, r4_) + mul(h1_, r3_) + mul(h2_, r2_) +
+                       mul(h3_, r1_) + mul(h4_, r0_);
+
+    std::uint64_t c = d0 >> 26;
+    h0_ = static_cast<std::uint32_t>(d0) & 0x3ffffff;
+    d1 += c;
+    c = d1 >> 26;
+    h1_ = static_cast<std::uint32_t>(d1) & 0x3ffffff;
+    d2 += c;
+    c = d2 >> 26;
+    h2_ = static_cast<std::uint32_t>(d2) & 0x3ffffff;
+    d3 += c;
+    c = d3 >> 26;
+    h3_ = static_cast<std::uint32_t>(d3) & 0x3ffffff;
+    d4 += c;
+    c = d4 >> 26;
+    h4_ = static_cast<std::uint32_t>(d4) & 0x3ffffff;
+    h0_ += static_cast<std::uint32_t>(c) * 5;
+    c = h0_ >> 26;
+    h0_ &= 0x3ffffff;
+    h1_ += static_cast<std::uint32_t>(c);
+  }
+
+  /// Feeds `data` as full blocks, zero-padding the last one to 16 bytes
+  /// (the AEAD construction's pad16).
+  void padded(ByteView data) noexcept {
+    std::size_t pos = 0;
+    for (; pos + 16 <= data.size(); pos += 16) {
+      block(data.data() + pos, kFullBlock);
+    }
+    if (pos < data.size()) {
+      std::array<std::uint8_t, 16> last{};
+      std::memcpy(last.data(), data.data() + pos, data.size() - pos);
+      block(last.data(), kFullBlock);
+    }
+  }
+
+  [[nodiscard]] Tag16 finish() noexcept {
+    std::uint32_t h0 = h0_, h1 = h1_, h2 = h2_, h3 = h3_, h4 = h4_;
+    // Full carry propagation.
+    std::uint32_t c = h1 >> 26;
+    h1 &= 0x3ffffff;
+    h2 += c;
+    c = h2 >> 26;
+    h2 &= 0x3ffffff;
+    h3 += c;
+    c = h3 >> 26;
+    h3 &= 0x3ffffff;
+    h4 += c;
+    c = h4 >> 26;
+    h4 &= 0x3ffffff;
+    h0 += c * 5;
+    c = h0 >> 26;
+    h0 &= 0x3ffffff;
+    h1 += c;
+
+    // Compute h + -p and select.
+    std::uint32_t g0 = h0 + 5;
+    c = g0 >> 26;
+    g0 &= 0x3ffffff;
+    std::uint32_t g1 = h1 + c;
+    c = g1 >> 26;
+    g1 &= 0x3ffffff;
+    std::uint32_t g2 = h2 + c;
+    c = g2 >> 26;
+    g2 &= 0x3ffffff;
+    std::uint32_t g3 = h3 + c;
+    c = g3 >> 26;
+    g3 &= 0x3ffffff;
+    std::uint32_t g4 = h4 + c - (1u << 26);
+
+    std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if g4 >= 0 (h >= p)
+    g0 &= mask;
+    g1 &= mask;
+    g2 &= mask;
+    g3 &= mask;
+    g4 &= mask;
+    mask = ~mask;
+    h0 = (h0 & mask) | g0;
+    h1 = (h1 & mask) | g1;
+    h2 = (h2 & mask) | g2;
+    h3 = (h3 & mask) | g3;
+    h4 = (h4 & mask) | g4;
+
+    // h %= 2^128, serialize and add s.
+    h0 = (h0 | (h1 << 26)) & 0xffffffff;
+    h1 = ((h1 >> 6) | (h2 << 20)) & 0xffffffff;
+    h2 = ((h2 >> 12) | (h3 << 14)) & 0xffffffff;
+    h3 = ((h3 >> 18) | (h4 << 8)) & 0xffffffff;
+
+    std::uint64_t f = static_cast<std::uint64_t>(h0) + pad_[0];
+    h0 = static_cast<std::uint32_t>(f);
+    f = static_cast<std::uint64_t>(h1) + pad_[1] + (f >> 32);
+    h1 = static_cast<std::uint32_t>(f);
+    f = static_cast<std::uint64_t>(h2) + pad_[2] + (f >> 32);
+    h2 = static_cast<std::uint32_t>(f);
+    f = static_cast<std::uint64_t>(h3) + pad_[3] + (f >> 32);
+    h3 = static_cast<std::uint32_t>(f);
+
+    Tag16 tag;
+    store_le32(tag.data() + 0, h0);
+    store_le32(tag.data() + 4, h1);
+    store_le32(tag.data() + 8, h2);
+    store_le32(tag.data() + 12, h3);
+    return tag;
+  }
+
+  static constexpr std::uint32_t kFullBlock = 1u << 24;
+
+ private:
+  std::uint32_t r0_, r1_, r2_, r3_, r4_;
+  std::uint32_t pad_[4];
+  std::uint32_t h0_{0}, h1_{0}, h2_{0}, h3_{0}, h4_{0};
+};
+
+/// RFC 8439 §2.8 tag: Poly1305 under the one-time key (block 0 of the
+/// keystream) over aad || pad16 || ciphertext || pad16 || le64 lengths,
+/// fed block by block with no assembled MAC input.
 [[nodiscard]] Tag16 aead_tag(const Key32& key, const Nonce12& nonce,
-                             ByteView aad, ByteView ciphertext) {
-  // One-time Poly1305 key = first 32 bytes of block 0.
-  std::array<std::uint8_t, 64> block0{};
-  chacha20_xor(key, nonce, 0, ByteView{block0.data(), block0.size()},
-               block0.data());
+                             ByteView aad, ByteView ciphertext) noexcept {
+  std::array<std::uint8_t, 64> block0;
+  chacha20_block(key, nonce, 0, block0);
   Key32 otk;
   std::memcpy(otk.data(), block0.data(), otk.size());
 
-  Bytes mac_data;
-  mac_data.reserve(aad.size() + ciphertext.size() + 32);
-  append(mac_data, aad);
-  mac_data.resize((mac_data.size() + 15) / 16 * 16, 0);
-  append(mac_data, ciphertext);
-  mac_data.resize((mac_data.size() + 15) / 16 * 16, 0);
+  Poly1305 mac(otk);
+  mac.padded(aad);
+  mac.padded(ciphertext);
+  std::array<std::uint8_t, 16> lengths;
   for (int i = 0; i < 8; ++i) {
-    mac_data.push_back(
-        static_cast<std::uint8_t>(static_cast<std::uint64_t>(aad.size()) >>
-                                  (8 * i)));
+    lengths[i] = static_cast<std::uint8_t>(
+        static_cast<std::uint64_t>(aad.size()) >> (8 * i));
+    lengths[8 + i] = static_cast<std::uint8_t>(
+        static_cast<std::uint64_t>(ciphertext.size()) >> (8 * i));
   }
-  for (int i = 0; i < 8; ++i) {
-    mac_data.push_back(static_cast<std::uint8_t>(
-        static_cast<std::uint64_t>(ciphertext.size()) >> (8 * i)));
-  }
-  return poly1305(otk, ByteView{mac_data.data(), mac_data.size()});
+  mac.block(lengths.data(), Poly1305::kFullBlock);
+  return mac.finish();
 }
 
 }  // namespace
 
+Tag16 poly1305(const Key32& key, ByteView data) noexcept {
+  Poly1305 mac(key);
+  std::size_t pos = 0;
+  for (; pos + 16 <= data.size(); pos += 16) {
+    mac.block(data.data() + pos, Poly1305::kFullBlock);
+  }
+  if (pos < data.size()) {
+    // Final partial block: a 1 byte after the message, no 2^128 bit.
+    std::array<std::uint8_t, 16> last{};
+    const std::size_t take = data.size() - pos;
+    std::memcpy(last.data(), data.data() + pos, take);
+    last[take] = 1;
+    mac.block(last.data(), 0);
+  }
+  return mac.finish();
+}
+
+void aead_seal_into(const Key32& key, const Nonce12& nonce, ByteView aad,
+                    ByteView plaintext, std::uint8_t* out) noexcept {
+  chacha20_xor(key, nonce, 1, plaintext, out);
+  const Tag16 tag =
+      aead_tag(key, nonce, aad, ByteView{out, plaintext.size()});
+  std::memcpy(out + plaintext.size(), tag.data(), tag.size());
+}
+
+bool aead_open_into(const Key32& key, const Nonce12& nonce, ByteView aad,
+                    ByteView sealed, std::uint8_t* out) noexcept {
+  if (sealed.size() < kAeadTagBytes) return false;
+  const ByteView ciphertext = sealed.first(sealed.size() - kAeadTagBytes);
+  const ByteView tag = sealed.last(kAeadTagBytes);
+  const Tag16 expected = aead_tag(key, nonce, aad, ciphertext);
+  if (!ct_equal(ByteView{expected.data(), expected.size()}, tag)) {
+    return false;
+  }
+  chacha20_xor(key, nonce, 1, ciphertext, out);
+  return true;
+}
+
 Bytes aead_seal(const Key32& key, const Nonce12& nonce, ByteView aad,
                 ByteView plaintext) {
-  Bytes out(plaintext.size() + 16);
-  chacha20_xor(key, nonce, 1, plaintext, out.data());
-  const Tag16 tag =
-      aead_tag(key, nonce, aad, ByteView{out.data(), plaintext.size()});
-  std::memcpy(out.data() + plaintext.size(), tag.data(), tag.size());
+  Bytes out(plaintext.size() + kAeadTagBytes);
+  aead_seal_into(key, nonce, aad, plaintext, out.data());
   return out;
 }
 
 std::optional<Bytes> aead_open(const Key32& key, const Nonce12& nonce,
                                ByteView aad, ByteView sealed) {
-  if (sealed.size() < 16) return std::nullopt;
-  const ByteView ciphertext = sealed.subspan(0, sealed.size() - 16);
-  const ByteView tag = sealed.subspan(sealed.size() - 16);
-  const Tag16 expected = aead_tag(key, nonce, aad, ciphertext);
-  if (!ct_equal(ByteView{expected.data(), expected.size()}, tag)) {
+  if (sealed.size() < kAeadTagBytes) return std::nullopt;
+  Bytes plaintext(sealed.size() - kAeadTagBytes);
+  if (!aead_open_into(key, nonce, aad, sealed, plaintext.data())) {
     return std::nullopt;
   }
-  Bytes plaintext(ciphertext.size());
-  chacha20_xor(key, nonce, 1, ciphertext, plaintext.data());
   return plaintext;
 }
 

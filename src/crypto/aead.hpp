@@ -23,6 +23,22 @@ void chacha20_xor(const Key32& key, const Nonce12& nonce, std::uint32_t counter,
 /// One-shot Poly1305 MAC.
 [[nodiscard]] Tag16 poly1305(const Key32& key, ByteView data) noexcept;
 
+/// Bytes an AEAD seal adds to its plaintext (the Poly1305 tag).
+inline constexpr std::size_t kAeadTagBytes = 16;
+
+/// Encrypts `plaintext` into `out`, which must hold plaintext.size() +
+/// kAeadTagBytes bytes: ciphertext || tag, with no allocation. `out` must
+/// not overlap `aad`; it may equal plaintext.data().
+void aead_seal_into(const Key32& key, const Nonce12& nonce, ByteView aad,
+                    ByteView plaintext, std::uint8_t* out) noexcept;
+
+/// Checks the tag of ciphertext||tag and, only if it holds, decrypts into
+/// `out` (sealed.size() - kAeadTagBytes bytes). False on a short input or
+/// a failed tag, in which case `out` is untouched.
+[[nodiscard]] bool aead_open_into(const Key32& key, const Nonce12& nonce,
+                                  ByteView aad, ByteView sealed,
+                                  std::uint8_t* out) noexcept;
+
 /// Encrypts `plaintext`; returns ciphertext || 16-byte tag.
 [[nodiscard]] Bytes aead_seal(const Key32& key, const Nonce12& nonce,
                               ByteView aad, ByteView plaintext);

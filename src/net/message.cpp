@@ -98,6 +98,19 @@ SharedBytes Envelope::wire() const {
   return wire_image_;
 }
 
+std::size_t Envelope::wire_size() const noexcept {
+  return kHeaderBytes + kSigningPrefix + payload.size() + 4 +
+         signature.size();
+}
+
+void Envelope::write_wire(Writer& w) const {
+  w.u64(src);
+  w.u64(dst);
+  w.u32(type);
+  w.bytes(payload);
+  w.bytes(signature);
+}
+
 std::optional<Envelope> Envelope::from_frame(SharedBytes frame) {
   Reader r(frame.view());
   Envelope env;

@@ -42,6 +42,10 @@
 #include "common/types.hpp"
 #include "crypto/keyring.hpp"
 
+namespace sbft {
+class Writer;
+}  // namespace sbft
+
 namespace sbft::net {
 
 struct Envelope {
@@ -56,6 +60,15 @@ struct Envelope {
   /// same allocation. For envelopes parsed via from_frame(), this is the
   /// received frame itself — serialize once, relay everywhere.
   [[nodiscard]] SharedBytes wire() const;
+
+  /// Size of the wire image: routing header, then payload and signature,
+  /// each with its length prefix.
+  [[nodiscard]] std::size_t wire_size() const noexcept;
+
+  /// Appends the wire image to `w` straight from the fields: the bytes of
+  /// wire(), with no memo built or consulted. For one-shot encoders that
+  /// copy the image anyway, such as an enclave's outbox.
+  void write_wire(Writer& w) const;
 
   /// The byte string the signature covers, (type || payload), as a view
   /// into the memoized frame: no allocation after the first call, and none

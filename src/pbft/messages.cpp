@@ -84,14 +84,20 @@ class AuthHeader {
 // length-prefixed MAC. The MAC covers the first two parts, so a MAC hashes
 // the header from the stack and the body in place.
 
-[[nodiscard]] AuthHeader<16> auth_header(const Request& m) {
-  AuthHeader<16> h;
+/// A Request's fixed fields through the payload length prefix.
+constexpr std::size_t kRequestHeaderBytes = 4 + 8 + 4;
+
+[[nodiscard]] AuthHeader<kRequestHeaderBytes> auth_header(const Request& m) {
+  AuthHeader<kRequestHeaderBytes> h;
   h.u32(m.client).u64(m.timestamp).u32(len32(m.payload));
   return h;
 }
 
-[[nodiscard]] AuthHeader<28> auth_header(const Reply& m) {
-  AuthHeader<28> h;
+/// A Reply's fixed fields through the result length prefix.
+constexpr std::size_t kReplyHeaderBytes = 8 + 8 + 4 + 4 + 4;
+
+[[nodiscard]] AuthHeader<kReplyHeaderBytes> auth_header(const Reply& m) {
+  AuthHeader<kReplyHeaderBytes> h;
   h.u64(m.view).u64(m.timestamp).u32(m.client).u32(m.sender);
   h.u32(len32(m.result));
   return h;
@@ -156,6 +162,30 @@ bool Request::mac_valid(const crypto::HmacKey& key) const {
   return ct_equal(mac(key).view(), auth);
 }
 
+// ------------------------------------------------------------ RequestView
+
+std::optional<RequestView> RequestView::parse(ByteView data) {
+  Reader r(data);
+  RequestView v;
+  v.client = r.u32();
+  v.timestamp = r.u64();
+  v.payload = r.view(r.u32());
+  v.auth = r.view(r.u32());
+  if (!r.done()) return std::nullopt;
+  v.bytes = data;
+  return v;
+}
+
+Digest RequestView::mac(const crypto::HmacKey& key) const {
+  // The wire prefix up to the auth length is auth_header() || payload.
+  return crypto::hmac_sha256(
+      key, bytes.first(kRequestHeaderBytes + payload.size()));
+}
+
+bool RequestView::mac_valid(const crypto::HmacKey& key) const {
+  return ct_equal(mac(key).view(), auth);
+}
+
 // ----------------------------------------------------------- RequestBatch
 
 Bytes RequestBatch::serialize() const {
@@ -190,6 +220,26 @@ std::optional<RequestBatch> RequestBatch::deserialize(ByteView data) {
   }
   if (!r.done()) return std::nullopt;
   return batch;
+}
+
+std::optional<std::vector<RequestView>> parse_request_batch(ByteView data) {
+  // The same checks, in the same order, as RequestBatch::deserialize.
+  Reader r(data);
+  const std::uint32_t n = r.u32();
+  if (n > 100'000) return std::nullopt;
+  if (n > r.remaining() / 20) return std::nullopt;
+  std::vector<RequestView> views;
+  views.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t len = r.u32();
+    const ByteView b = r.view(len);
+    if (r.failed()) return std::nullopt;
+    auto view = RequestView::parse(b);
+    if (!view) return std::nullopt;
+    views.push_back(*view);
+  }
+  if (!r.done()) return std::nullopt;
+  return views;
 }
 
 Digest RequestBatch::digest() const { return crypto::sha256(serialize()); }
@@ -288,6 +338,31 @@ Digest Reply::mac(const crypto::HmacKey& key) const {
 }
 
 bool Reply::mac_valid(const crypto::HmacKey& key) const {
+  return ct_equal(mac(key).view(), auth);
+}
+
+// -------------------------------------------------------------- ReplyView
+
+std::optional<ReplyView> ReplyView::parse(ByteView data) {
+  Reader r(data);
+  ReplyView v;
+  v.view = r.u64();
+  v.timestamp = r.u64();
+  v.client = r.u32();
+  v.sender = r.u32();
+  v.result = r.view(r.u32());
+  v.auth = r.view(r.u32());
+  if (!r.done()) return std::nullopt;
+  v.bytes = data;
+  return v;
+}
+
+Digest ReplyView::mac(const crypto::HmacKey& key) const {
+  return crypto::hmac_sha256(key,
+                             bytes.first(kReplyHeaderBytes + result.size()));
+}
+
+bool ReplyView::mac_valid(const crypto::HmacKey& key) const {
   return ct_equal(mac(key).view(), auth);
 }
 

@@ -80,6 +80,31 @@ struct RequestBatch {
   [[nodiscard]] bool empty() const noexcept { return requests.empty(); }
 };
 
+/// Zero-copy view of one serialized Request: every field aliases the
+/// bytes it was parsed from, which must outlive the view. Accepts exactly
+/// what Request::deserialize accepts.
+struct RequestView {
+  ClientId client{0};
+  Timestamp timestamp{0};
+  ByteView payload;
+  ByteView auth;
+  /// The whole serialized request (what RequestBatch::serialize embeds).
+  ByteView bytes;
+
+  [[nodiscard]] static std::optional<RequestView> parse(ByteView data);
+  /// Request::mac, hashed over the signed prefix of `bytes` in place (the
+  /// fixed fields and the payload).
+  [[nodiscard]] Digest mac(const crypto::HmacKey& key) const;
+  /// True when `auth` equals mac(key) (constant-time compare).
+  [[nodiscard]] bool mac_valid(const crypto::HmacKey& key) const;
+};
+
+/// Parses a serialized RequestBatch into views of its requests: one vector,
+/// no request bytes copied. Accepts exactly what RequestBatch::deserialize
+/// accepts, and the views alias `data`.
+[[nodiscard]] std::optional<std::vector<RequestView>> parse_request_batch(
+    ByteView data);
+
 struct PrePrepare {
   View view{0};
   SeqNum seq{0};
@@ -122,6 +147,26 @@ struct Reply {
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static std::optional<Reply> deserialize(ByteView data);
   /// The MAC for the client: every field but `auth`, in wire order.
+  [[nodiscard]] Digest mac(const crypto::HmacKey& key) const;
+  /// True when `auth` equals mac(key) (constant-time compare).
+  [[nodiscard]] bool mac_valid(const crypto::HmacKey& key) const;
+};
+
+/// Zero-copy view of one serialized Reply: every field aliases the bytes it
+/// was parsed from, which must outlive the view. Accepts exactly what
+/// Reply::deserialize accepts.
+struct ReplyView {
+  View view{0};
+  Timestamp timestamp{0};
+  ClientId client{0};
+  ReplicaId sender{0};
+  ByteView result;
+  ByteView auth;
+  /// The whole serialized reply.
+  ByteView bytes;
+
+  [[nodiscard]] static std::optional<ReplyView> parse(ByteView data);
+  /// Reply::mac, hashed over the signed prefix of `bytes` in place.
   [[nodiscard]] Digest mac(const crypto::HmacKey& key) const;
   /// True when `auth` equals mac(key) (constant-time compare).
   [[nodiscard]] bool mac_valid(const crypto::HmacKey& key) const;

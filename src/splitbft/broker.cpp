@@ -1,10 +1,33 @@
 #include "splitbft/broker.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <ranges>
 
 #include "common/serde.hpp"
 
 namespace sbft::splitbft {
+
+namespace {
+
+/// Writes a serialized RequestBatch (RequestBatch::serialize's layout: a
+/// count, then each request length-prefixed) from the requests' own
+/// serialized bytes, into one buffer sized once.
+template <typename Range>
+[[nodiscard]] Bytes concat_batch(const Range& requests) {
+  std::size_t size = 4;
+  std::uint32_t count = 0;
+  for (const SharedBytes& req : requests) {
+    size += 4 + req.size();
+    ++count;
+  }
+  Writer w(size);
+  w.u32(count);
+  for (const SharedBytes& req : requests) w.bytes(req);
+  return std::move(w).take();
+}
+
+}  // namespace
 
 Broker::Broker(pbft::Config config, ReplicaId self,
                std::unique_ptr<tee::EnclaveHost> prep,
@@ -138,14 +161,16 @@ bool Broker::is_local(principal::Id id,
 }
 
 void Broker::deliver_to(Compartment c, const net::Envelope& env, Out& out) {
-  // wire() is the envelope's memoized serialization: an envelope that
-  // arrived off the wire crosses the ecall boundary as its received frame
-  // (no re-encode); duplicated deliveries that rewrite dst re-encode once
-  // per distinct destination, same as one send would.
-  const Bytes result = host(c).ecall(
+  // The envelope's wire image is written into the reused argument buffer
+  // (no per-ecall image is built), and the result is decoded as one frame
+  // that every emitted envelope slices.
+  Writer args(std::move(ecall_args_));
+  args.reserve(env.wire_size());
+  env.write_wire(args);
+  ecall_args_ = std::move(args).take();
+  auto outbox = decode_outbox(SharedBytes(host(c).ecall(
       static_cast<std::uint32_t>(tee::EcallFn::DeliverMessage),
-      env.wire());
-  auto outbox = decode_outbox(result);
+      ecall_args_)));
   if (!outbox) return;
   for (auto& emitted : *outbox) {
     if (emitted.type == pbft::tag(pbft::MsgType::NewView)) {
@@ -160,7 +185,7 @@ void Broker::deliver_to(Compartment c, const net::Envelope& env, Out& out) {
       // client's requests up to its timestamp, which under the
       // (client, timestamp) key order is one contiguous range.
       if (emitted.type == pbft::tag(pbft::MsgType::Reply)) {
-        if (auto reply = pbft::Reply::deserialize(emitted.payload)) {
+        if (const auto reply = pbft::ReplyView::parse(emitted.payload)) {
           outstanding_.erase(
               outstanding_.lower_bound({reply->client, Timestamp{0}}),
               outstanding_.upper_bound({reply->client, reply->timestamp}));
@@ -186,8 +211,8 @@ void Broker::route(net::Envelope env, Out& out, Micros now) {
     // Preparation and Execution, header-only for Confirmation.
     deliver_to(Compartment::Preparation, env, out);
     net::Envelope stripped = env;
-    if (auto pp = SplitPrePrepare::deserialize(env.payload)) {
-      stripped.payload = pp->stripped().serialize();
+    if (auto header = SplitPrePrepare::strip_payload(env.payload)) {
+      stripped.payload = SharedBytes(std::move(*header));
     }
     stripped.dst = principal::enclave({self_, Compartment::Confirmation});
     deliver_to(Compartment::Confirmation, stripped, out);
@@ -224,7 +249,7 @@ void Broker::route(net::Envelope env, Out& out, Micros now) {
 
 void Broker::on_client_request(const net::Envelope& env, Micros now,
                                Out& out) {
-  auto req = pbft::Request::deserialize(env.payload);
+  const auto req = pbft::RequestView::parse(env.payload);
   if (!req) return;
   const auto key = std::make_pair(req->client, req->timestamp);
   // Admission control: shed FRESH requests past the cap before they arm a
@@ -241,14 +266,13 @@ void Broker::on_client_request(const net::Envelope& env, Micros now,
   // Arm the suspicion timer — liveness only; the enclaves re-check
   // authenticity themselves.
   Outstanding tracked;
-  tracked.request = *req;
+  tracked.request = env.payload;
   tracked.deadline = now + config_.request_timeout_us;
-  const auto [slot, inserted] = outstanding_.emplace(
-      std::make_pair(req->client, req->timestamp), std::move(tracked));
+  const auto [slot, inserted] = outstanding_.emplace(key, std::move(tracked));
   if (inserted) {
     next_deadline_ = std::min(next_deadline_, slot->second.deadline);
   }
-  pending_batch_[{req->client, req->timestamp}] = std::move(*req);
+  pending_batch_[key] = env.payload;
   if (pending_batch_.size() >= config_.batch_max || config_.batch_max <= 1) {
     cut_batch(now, out);
   } else if (batch_deadline_ == 0) {
@@ -260,18 +284,17 @@ void Broker::cut_batch(Micros now, Out& out) {
   (void)now;
   batch_deadline_ = 0;
   if (pending_batch_.empty()) return;
-  pbft::RequestBatch batch;
-  auto it = pending_batch_.begin();
-  while (it != pending_batch_.end() &&
-         batch.requests.size() < config_.batch_max) {
-    batch.requests.push_back(it->second);
-    it = pending_batch_.erase(it);
-  }
+  const auto end = std::next(
+      pending_batch_.begin(),
+      static_cast<std::ptrdiff_t>(
+          std::min<std::size_t>(pending_batch_.size(), config_.batch_max)));
   net::Envelope env;
   env.src = 0;  // local, unauthenticated (the enclave re-checks everything)
   env.dst = principal::enclave({self_, Compartment::Preparation});
   env.type = tag(LocalMsg::Batch);
-  env.payload = batch.serialize();
+  env.payload = SharedBytes(concat_batch(std::ranges::subrange(
+      pending_batch_.begin(), end) | std::views::values));
+  pending_batch_.erase(pending_batch_.begin(), end);
   deliver_to(Compartment::Preparation, env, out);
 
   if (!pending_batch_.empty() && batch_deadline_ == 0) {
@@ -285,9 +308,8 @@ void Broker::on_read_request(const net::Envelope& env, Micros now, Out& out) {
   // (a read that goes unanswered falls back to ordering client-side).
   // Reads are coalesced so one ecall serves up to read_batch_max of them;
   // like request batching, this amortizes the enclave-crossing cost.
-  auto req = pbft::Request::deserialize(env.payload);
-  if (!req) return;
-  pending_reads_.push_back(std::move(*req));
+  if (!pbft::RequestView::parse(env.payload)) return;
+  pending_reads_.push_back(env.payload);
   if (pending_reads_.size() >= config_.read_batch_max ||
       config_.read_batch_max <= 1) {
     cut_read_batch(now, out);
@@ -300,18 +322,18 @@ void Broker::cut_read_batch(Micros now, Out& out) {
   (void)now;
   read_batch_deadline_ = 0;
   while (!pending_reads_.empty()) {
-    pbft::RequestBatch batch;
-    while (!pending_reads_.empty() &&
-           batch.requests.size() < std::max<std::size_t>(
-                                       config_.read_batch_max, 1)) {
-      batch.requests.push_back(std::move(pending_reads_.front()));
-      pending_reads_.pop_front();
-    }
+    const auto end = std::next(
+        pending_reads_.begin(),
+        static_cast<std::ptrdiff_t>(std::min<std::size_t>(
+            pending_reads_.size(),
+            std::max<std::size_t>(config_.read_batch_max, 1))));
     net::Envelope env;
     env.src = 0;  // local hand-off; the enclave re-checks every read
     env.dst = principal::enclave({self_, Compartment::Execution});
     env.type = tag(LocalMsg::ReadBatch);
-    env.payload = batch.serialize();
+    env.payload = SharedBytes(
+        concat_batch(std::ranges::subrange(pending_reads_.begin(), end)));
+    pending_reads_.erase(pending_reads_.begin(), end);
     deliver_to(Compartment::Execution, env, out);
   }
 }

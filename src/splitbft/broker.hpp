@@ -109,17 +109,22 @@ class Broker final : public runtime::Actor {
   void observe_tuner(Micros now);
 
   // --- untrusted liveness state ---
+  // Admitted requests are kept as their serialized bytes (the client
+  // envelope's payload frame, shared, never parsed into an owning Request):
+  // outstanding_ and pending_batch_ share one buffer per request, and a
+  // batch is the length-prefixed concatenation of those bytes.
   struct Outstanding {
-    pbft::Request request;
+    SharedBytes request;
     Micros deadline{0};
     std::uint32_t backoff{1};  // doubles per expiry (PBFT-style timeouts)
   };
 
-  std::map<std::pair<ClientId, Timestamp>, pbft::Request> pending_batch_;
+  std::map<std::pair<ClientId, Timestamp>, SharedBytes> pending_batch_;
   Micros batch_deadline_{0};
-  // Fast-path reads waiting for coalesced delivery to Execution. Pure
-  // liveness state: the enclave re-authenticates every read.
-  std::deque<pbft::Request> pending_reads_;
+  // Fast-path reads waiting for coalesced delivery to Execution, as their
+  // serialized bytes. Pure liveness state: the enclave re-authenticates
+  // every read.
+  std::deque<SharedBytes> pending_reads_;
   Micros read_batch_deadline_{0};
   // Suspicion timers + request copies for post-view-change re-proposal.
   // Ordered by (client, timestamp) on purpose: the requests one Reply
@@ -132,6 +137,10 @@ class Broker final : public runtime::Actor {
   // one walk that finds nothing due.
   Micros next_deadline_{std::numeric_limits<Micros>::max()};
   std::deque<net::Envelope> local_queue_;
+  // Ecall argument buffer, reused across ecalls: each delivery writes the
+  // envelope's wire image into it, so crossing the boundary allocates only
+  // when a larger message than any before arrives.
+  Bytes ecall_args_;
   // Set when the local Preparation enclave emits a NewView (it is the new
   // primary): outstanding requests are re-proposed right after.
   bool new_view_emitted_{false};

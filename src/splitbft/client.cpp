@@ -1,5 +1,7 @@
 #include "splitbft/client.hpp"
 
+#include <algorithm>
+
 #include "common/serde.hpp"
 #include "crypto/aead.hpp"
 #include "crypto/hmac.hpp"
@@ -131,7 +133,11 @@ std::vector<net::Envelope> SplitClient::broadcast_request() const {
   env.src = principal::client(id_);
   env.type = pbft::tag(fast_read_ ? pbft::MsgType::ReadRequest
                                   : pbft::MsgType::Request);
-  env.payload = request_.serialize();
+  env.payload = request_;
+  // Built once here, the signing-input memo is shared by every copy below,
+  // so each destination's wire image is the only per-copy encode.
+  (void)env.signing_input_view();
+  out.reserve(config_.n);
   for (ReplicaId r = 0; r < config_.n; ++r) {
     env.dst = principal::splitbft_env(r);
     out.push_back(env);
@@ -148,17 +154,24 @@ std::vector<net::Envelope> SplitClient::submit(Bytes operation, Micros now,
   read_replied_.clear();
   ++timestamp_;
 
-  request_ = pbft::Request{};
-  request_.client = id_;
-  request_.timestamp = timestamp_;
   // End-to-end encryption: only Execution enclaves hold the session key.
   // Fast reads seal under the same request channel — the ordered fallback
   // re-broadcasts these exact bytes, so the operation is encrypted once.
-  request_.payload = crypto::aead_seal(
-      session_key_, crypto::make_nonce(channels::kRequest, timestamp_), {},
-      operation);
-  const Digest mac = request_.mac(mac_key_);
-  request_.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
+  // The Request is written once, in its wire layout (Request::serialize),
+  // into one buffer: the fixed fields, the operation sealed in place, then
+  // the MAC over everything before its length prefix — the bytes
+  // Request::mac covers.
+  const std::size_t sealed_size = operation.size() + crypto::kAeadTagBytes;
+  Writer w(4 + 8 + 4 + sealed_size + 4 + sizeof(Digest::bytes));
+  w.u32(id_);
+  w.u64(timestamp_);
+  w.u32(static_cast<std::uint32_t>(sealed_size));
+  crypto::aead_seal_into(session_key_,
+                         crypto::make_nonce(channels::kRequest, timestamp_),
+                         {}, operation, w.extend(sealed_size));
+  const Digest mac = crypto::hmac_sha256(mac_key_, w.data());
+  w.bytes(mac.view());
+  request_ = SharedBytes(std::move(w).take());
 
   fast_read_ = read_only && config_.read_path;
   if (fast_read_) {
@@ -253,34 +266,38 @@ std::optional<Bytes> SplitClient::on_reply(const net::Envelope& env,
   if (env.type != pbft::tag(pbft::MsgType::Reply)) {
     return std::nullopt;
   }
-  auto reply = pbft::Reply::deserialize(env.payload);
+  // Parsed in place: the reply's fields are views into its frame.
+  const auto reply = pbft::ReplyView::parse(env.payload);
   if (!reply || reply->client != id_ || reply->timestamp != timestamp_ ||
       reply->sender >= config_.n) {
     return std::nullopt;
   }
   if (!reply->mac_valid(mac_key_)) return std::nullopt;
 
+  static const Bytes kNoOp = no_op_marker();
   Bytes vote;
-  if (reply->result == no_op_marker()) {
-    vote = no_op_marker();  // replica executed a no-op
+  if (std::ranges::equal(reply->result, kNoOp)) {
+    vote = kNoOp;  // replica executed a no-op
   } else {
-    const auto plain = crypto::aead_open(
-        session_key_,
-        crypto::make_nonce(channels::kReplyBase + reply->sender,
-                           reply->timestamp),
-        {}, reply->result);
-    if (!plain) return std::nullopt;  // not for us / corrupted
-    vote = *plain;
+    if (reply->result.size() < crypto::kAeadTagBytes) return std::nullopt;
+    vote.resize(reply->result.size() - crypto::kAeadTagBytes);
+    if (!crypto::aead_open_into(
+            session_key_,
+            crypto::make_nonce(channels::kReplyBase + reply->sender,
+                               reply->timestamp),
+            {}, reply->result, vote.data())) {
+      return std::nullopt;  // not for us / corrupted
+    }
   }
-  auto& senders = votes_[vote];
-  senders.insert(reply->sender);
+  const auto votes = votes_.try_emplace(std::move(vote)).first;
+  votes->second.insert(reply->sender);
   // See pbft::Client::on_reply: read_path strengthens the ordered reply
   // quorum to 2f+1 so fast reads can never miss an acknowledged write.
   const std::uint32_t needed =
       config_.read_path ? config_.quorum() : config_.f + 1;
-  if (senders.size() >= needed) {
+  if (votes->second.size() >= needed) {
     finish();
-    return vote;
+    return votes->first;
   }
   return std::nullopt;
 }

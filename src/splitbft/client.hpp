@@ -119,7 +119,9 @@ class SplitClient {
   Micros session_retry_deadline_{0};
 
   Timestamp timestamp_{0};
-  pbft::Request request_;
+  /// The in-flight Request, serialized once; every broadcast and
+  /// retransmission shares this frame.
+  SharedBytes request_;
   bool in_flight_{false};
   Micros retry_deadline_{0};
   // Decrypted result -> voting replicas.

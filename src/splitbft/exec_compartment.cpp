@@ -1,6 +1,7 @@
 #include "splitbft/exec_compartment.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "pbft/reply_cache.hpp"
@@ -143,32 +144,33 @@ void ExecCompartment::on_pre_prepare(const net::Envelope& env) {
       principal::enclave({pp->sender, Compartment::Preparation});
   if (!verify_pre_prepare_envelope(env, *pp, auth_, signer_id)) return;
   if (crypto::sha256(pp->batch) != pp->batch_digest) return;
-  log_[pp->seq].batches[pp->batch_digest] = pp->batch;
+  log_[pp->seq].batches[pp->batch_digest] = std::move(pp->batch);
 }
 
 // --------------------------------------------------------- read fast path
 
 void ExecCompartment::on_read_request(const net::Envelope& env, Out& out) {
   if (!config_.read_path) return;  // client falls back via its timeout
-  auto req = pbft::Request::deserialize(env.payload);
+  const auto req = pbft::RequestView::parse(env.payload);
   if (!req) return;
   serve_read(*req, out);
 }
 
 void ExecCompartment::on_read_batch(const net::Envelope& env, Out& out) {
   if (!config_.read_path) return;
-  auto batch = pbft::RequestBatch::deserialize(env.payload);
+  const auto batch = pbft::parse_request_batch(env.payload);
   if (!batch) return;
-  for (const auto& req : batch->requests) serve_read(req, out);
+  for (const auto& req : *batch) serve_read(req, out);
 }
 
-void ExecCompartment::serve_read(const pbft::Request& req, Out& out) {
+void ExecCompartment::serve_read(const pbft::RequestView& req, Out& out) {
   (void)out;  // staged replies leave via flush_runner
   // The whole read is parallelizable: authentication, decryption and
   // execute_read against last-executed state, which is stable for the rest
   // of this ecall (ordered mutations only happen on the ecall thread, and
   // the runner drains before deliver() returns). Each read of a coalesced
-  // batch lands on a different worker.
+  // batch lands on a different worker. The captured view aliases the
+  // delivered envelope, which outlives that drain.
   const auto session_it = sessions_.find(req.client);
   if (session_it == sessions_.end()) return;  // cannot serve: stay silent
   const crypto::Key32 session = session_it->second;
@@ -276,7 +278,7 @@ void ExecCompartment::try_execute(Out& out) {
     if (it == log_.end() || !it->second.committed_digest) break;
     const Digest digest = *it->second.committed_digest;
 
-    pbft::RequestBatch batch;  // empty for null requests
+    std::vector<pbft::RequestView> batch;  // empty for null requests
     if (digest != null_batch_digest_) {
       const auto batch_it = it->second.batches.find(digest);
       if (batch_it == it->second.batches.end()) {
@@ -284,11 +286,12 @@ void ExecCompartment::try_execute(Out& out) {
         // cannot execute yet; state transfer will eventually heal us.
         break;
       }
-      auto parsed = pbft::RequestBatch::deserialize(batch_it->second);
+      auto parsed = pbft::parse_request_batch(batch_it->second);
       if (!parsed) break;
       batch = std::move(*parsed);
     }
-    for (const auto& req : batch.requests) execute_request(req, out);
+    for (const auto& req : batch) execute_request(req, out);
+    submit_replies();
     // Deterministic eviction point: every Execution enclave has executed
     // the identical prefix here, so the pruned tables (and checkpoint
     // digests over them) agree.
@@ -299,7 +302,8 @@ void ExecCompartment::try_execute(Out& out) {
   }
 }
 
-void ExecCompartment::execute_request(const pbft::Request& req, Out& out) {
+void ExecCompartment::execute_request(const pbft::RequestView& req,
+                                      Out& out) {
   (void)out;  // staged replies leave via flush_runner
   // Authenticate (defence in depth — Preparation already checked).
   if (!req.mac_valid(clients_.hmac_key(req.client))) return;
@@ -313,16 +317,20 @@ void ExecCompartment::execute_request(const pbft::Request& req, Out& out) {
   record.last_ts = req.timestamp;
 
   // Decrypt the operation with the client session key; on any failure the
-  // enclave executes a no-op instead (paper §4 step 1).
+  // enclave executes a no-op instead (paper §4 step 1). The operation is
+  // opened into a buffer reused across requests: it lives only for this
+  // call.
   record.no_op = true;
   record.last_result.clear();
   const auto session = sessions_.find(req.client);
-  if (session != sessions_.end()) {
-    const auto op = crypto::aead_open(
-        session->second, crypto::make_nonce(kRequestChannel, req.timestamp),
-        {}, req.payload);
-    if (op) {
-      record.last_result = app_->execute(*op);
+  if (session != sessions_.end() &&
+      req.payload.size() >= crypto::kAeadTagBytes) {
+    operation_.resize(req.payload.size() - crypto::kAeadTagBytes);
+    if (crypto::aead_open_into(
+            session->second,
+            crypto::make_nonce(kRequestChannel, req.timestamp), {},
+            req.payload, operation_.data())) {
+      record.last_result = app_->execute(operation_);
       record.no_op = false;
       ++executed_requests_;
     }
@@ -333,44 +341,81 @@ void ExecCompartment::execute_request(const pbft::Request& req, Out& out) {
 
 void ExecCompartment::stage_client_reply(ClientId client, Timestamp ts,
                                          const ClientRecord& record) {
-  // Parallel stage: deterministic AEAD seal + MAC + serialize — the
-  // dominant per-request cost inside the enclave after execution. The
-  // record is captured BY COPY: gc_client_records may strip its body while
-  // this batch's later requests still execute on the ecall thread.
-  // reply_envelope itself only touches the copy, the session table (not
-  // mutated during execution ecalls) and the thread-safe clients_ cache.
-  runner_->submit(
-      [this, client, ts, copy = record]() -> runtime::runner::Epilogue {
-        net::Envelope env = reply_envelope(client, ts, copy);
-        return [this, env = std::move(env)]() mutable {
-          staged_out_.push_back(std::move(env));
-        };
-      });
+  // The record's inputs are COPIED into the pending unit:
+  // gc_client_records may strip its body before the unit runs.
+  ReplyUnit& unit = pending_replies_;
+  unit.entries.push_back({client, ts, record.no_op,
+                          static_cast<std::uint32_t>(unit.results.size()),
+                          static_cast<std::uint32_t>(
+                              record.last_result.size())});
+  append(unit.results, record.last_result);
+  // With 2+ workers a batch's replies are cut into fixed-size units so
+  // they seal in parallel while later requests still execute.
+  if (runner_->workers() >= 2 && unit.entries.size() >= kRepliesPerUnit) {
+    submit_replies();
+  }
 }
 
-net::Envelope ExecCompartment::reply_envelope(
-    ClientId client, Timestamp ts, const ClientRecord& record) const {
-  pbft::Reply reply;
-  reply.view = view_;
-  reply.timestamp = ts;
-  reply.client = client;
-  reply.sender = self_;
+void ExecCompartment::submit_replies() {
+  if (pending_replies_.entries.empty()) return;
+  // Parallel stage: deterministic AEAD seal + MAC + serialize of every
+  // reply in the unit — the dominant per-request cost inside the enclave
+  // after execution. It touches only the unit it owns, the session table
+  // (not mutated during execution ecalls) and the thread-safe clients_
+  // cache.
+  runner_->submit([this, unit = std::exchange(pending_replies_, {})]()
+                      -> runtime::runner::Epilogue {
+    Out replies;
+    replies.reserve(unit.entries.size());
+    const ByteView results{unit.results};
+    for (const auto& e : unit.entries) {
+      replies.push_back(reply_envelope(e.client, e.ts, e.no_op,
+                                       results.subspan(e.offset, e.size)));
+    }
+    return [this, replies = std::move(replies)]() mutable {
+      staged_out_.insert(staged_out_.end(),
+                         std::make_move_iterator(replies.begin()),
+                         std::make_move_iterator(replies.end()));
+    };
+  });
+}
+
+net::Envelope ExecCompartment::reply_envelope(ClientId client, Timestamp ts,
+                                              bool no_op,
+                                              ByteView result) const {
+  // The Reply is written once, in its wire layout (pbft::Reply::serialize),
+  // into its payload buffer: the fixed fields, the result sealed in place,
+  // then the MAC over everything before its length prefix — exactly the
+  // bytes Reply::mac covers.
   const auto session = sessions_.find(client);
-  if (record.no_op || session == sessions_.end()) {
-    reply.result = no_op_marker();
+  const bool sealed = !no_op && session != sessions_.end();
+  const Bytes marker = sealed ? Bytes{} : no_op_marker();
+  const std::size_t result_size =
+      sealed ? result.size() + crypto::kAeadTagBytes : marker.size();
+  constexpr std::size_t kFixed = 8 + 8 + 4 + 4 + 4;
+  constexpr std::size_t kMac = 4 + sizeof(Digest::bytes);
+  Writer w(kFixed + result_size + kMac);
+  w.u64(view_);
+  w.u64(ts);
+  w.u32(client);
+  w.u32(self_);
+  w.u32(static_cast<std::uint32_t>(result_size));
+  std::uint8_t* body = w.extend(result_size);
+  if (sealed) {
+    crypto::aead_seal_into(session->second,
+                           crypto::make_nonce(kReplyChannelBase + self_, ts),
+                           {}, result, body);
   } else {
-    reply.result = crypto::aead_seal(
-        session->second, crypto::make_nonce(kReplyChannelBase + self_, ts), {},
-        record.last_result);
+    std::copy(marker.begin(), marker.end(), body);
   }
-  const Digest mac = reply.mac(clients_.hmac_key(client));
-  reply.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
+  const Digest mac = crypto::hmac_sha256(clients_.hmac_key(client), w.data());
+  w.bytes(mac.view());
 
   net::Envelope env;
   env.src = signer_->id();
   env.dst = principal::client(client);
   env.type = pbft::tag(pbft::MsgType::Reply);
-  env.payload = reply.serialize();
+  env.payload = SharedBytes(std::move(w).take());
   return env;
 }
 

@@ -155,12 +155,28 @@ class ExecCompartment final : public CompartmentLogic {
 
   using Out = std::vector<net::Envelope>;
 
+  /// The replies of one executed batch (or of kRepliesPerUnit of them with
+  /// 2+ runner workers), staged as ONE runner unit. The unit owns copies
+  /// of its inputs; every plaintext result sits in one arena.
+  struct ReplyUnit {
+    struct Entry {
+      ClientId client{0};
+      Timestamp ts{0};
+      bool no_op{false};
+      std::uint32_t offset{0};  // of the plaintext in `results`
+      std::uint32_t size{0};
+    };
+    std::vector<Entry> entries;
+    Bytes results;
+  };
+  static constexpr std::size_t kRepliesPerUnit = 32;
+
   void on_pre_prepare(const net::Envelope& env);
   void on_read_request(const net::Envelope& env, Out& out);
   void on_read_batch(const net::Envelope& env, Out& out);
   /// Serves one authenticated read-only request against last-executed
   /// state (shared by the single-read and coalesced-batch entry points).
-  void serve_read(const pbft::Request& req, Out& out);
+  void serve_read(const pbft::RequestView& req, Out& out);
   void on_commit(const net::Envelope& env, Out& out);
   void on_checkpoint(const net::Envelope& env, Out& out);
   void on_new_view(const net::Envelope& env, Out& out);
@@ -175,12 +191,15 @@ class ExecCompartment final : public CompartmentLogic {
   void on_state_tick(const net::Envelope& env, Out& out);
 
   void try_execute(Out& out);
-  void execute_request(const pbft::Request& req, Out& out);
-  /// Stages the seal/MAC/serialize of one client reply on the runner from
-  /// captured copies of the record (the record itself may be stripped by
-  /// gc_client_records before the prologue runs).
+  void execute_request(const pbft::RequestView& req, Out& out);
+  /// Adds one client reply to the pending unit, copying the record's
+  /// inputs (the record itself may be stripped by gc_client_records before
+  /// the unit runs).
   void stage_client_reply(ClientId client, Timestamp ts,
                           const ClientRecord& record);
+  /// Submits the pending replies as one runner unit that seals, MACs and
+  /// encodes each of them.
+  void submit_replies();
   /// Drains the runner and appends staged envelopes to `out` — the last
   /// step of deliver().
   void flush_runner(Out& out);
@@ -218,9 +237,11 @@ class ExecCompartment final : public CompartmentLogic {
   [[nodiscard]] Bytes exec_snapshot() const;
   [[nodiscard]] bool restore_exec_snapshot(ByteView data);
   [[nodiscard]] bool in_window(SeqNum seq) const noexcept;
-  /// Builds the (deterministically encrypted) reply for a client record.
+  /// Builds the (deterministically encrypted) reply to `client` at `ts`
+  /// for a plaintext `result`, in one payload buffer.
   [[nodiscard]] net::Envelope reply_envelope(ClientId client, Timestamp ts,
-                                             const ClientRecord& record) const;
+                                             bool no_op,
+                                             ByteView result) const;
 
   pbft::Config config_;
   ReplicaId self_;
@@ -238,6 +259,10 @@ class ExecCompartment final : public CompartmentLogic {
   // submission order on the ecall thread, pushing into staged_out_.
   std::shared_ptr<runtime::runner::OrderedRunner> runner_;
   Out staged_out_;
+  ReplyUnit pending_replies_;
+  // Decrypted operation of the request being executed (ecall thread only),
+  // reused so opening a request allocates only to grow.
+  Bytes operation_;
 
   View view_{0};
   SeqNum last_executed_{0};

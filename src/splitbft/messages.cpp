@@ -7,6 +7,13 @@ namespace sbft::splitbft {
 
 namespace {
 
+// Envelope wire image floor (routing header, type, two length prefixes)
+// plus the outbox entry's own length prefix.
+constexpr std::size_t kMinOutboxEntry = 4 + 28;
+
+// SplitPrePrepare::header_bytes(): view, seq, digest, sender.
+constexpr std::size_t kHeaderBytes = 8 + 8 + 32 + 4;
+
 void put_digest(Writer& w, const Digest& d) { w.raw(d.view()); }
 
 [[nodiscard]] Digest get_digest(Reader& r) {
@@ -27,22 +34,26 @@ void put_key(Writer& w, const crypto::Key32& k) {
   return k;
 }
 
+void put_header(Writer& w, const SplitPrePrepare& pp) {
+  w.u64(pp.view);
+  w.u64(pp.seq);
+  put_digest(w, pp.batch_digest);
+  w.u32(pp.sender);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------- SplitPrePrepare
 
 Bytes SplitPrePrepare::header_bytes() const {
-  Writer w;
-  w.u64(view);
-  w.u64(seq);
-  put_digest(w, batch_digest);
-  w.u32(sender);
+  Writer w(kHeaderBytes);
+  put_header(w, *this);
   return std::move(w).take();
 }
 
 Bytes SplitPrePrepare::serialize() const {
-  Writer w;
-  w.raw(header_bytes());
+  Writer w(kHeaderBytes + 1 + (has_batch ? 4 + batch.size() : 0));
+  put_header(w, *this);
   w.boolean(has_batch);
   if (has_batch) w.bytes(batch);
   return std::move(w).take();
@@ -59,6 +70,18 @@ std::optional<SplitPrePrepare> SplitPrePrepare::deserialize(ByteView data) {
   if (pp.has_batch) pp.batch = r.bytes();
   if (!r.done()) return std::nullopt;
   return pp;
+}
+
+std::optional<Bytes> SplitPrePrepare::strip_payload(ByteView data) {
+  Reader r(data);
+  r.skip(kHeaderBytes);
+  if (r.boolean()) r.skip(r.u32());
+  if (!r.done()) return std::nullopt;
+  // The header bytes as they are, then has_batch = false.
+  Writer w(kHeaderBytes + 1);
+  w.raw(data.first(kHeaderBytes));
+  w.boolean(false);
+  return std::move(w).take();
 }
 
 SplitPrePrepare SplitPrePrepare::stripped() const {
@@ -224,24 +247,36 @@ std::optional<SessionAck> SessionAck::deserialize(ByteView data) {
 // ----------------------------------------------------------------- outbox
 
 Bytes encode_outbox(const std::vector<net::Envelope>& envs) {
-  Writer w;
+  // One buffer, sized once: each envelope's wire image is written straight
+  // into it, with no per-envelope image built and copied.
+  std::size_t size = 4;
+  for (const auto& env : envs) size += 4 + env.wire_size();
+  Writer w(size);
   w.u32(static_cast<std::uint32_t>(envs.size()));
-  // Memoized wire images: an enclave's broadcast copies serialize once.
-  for (const auto& env : envs) w.bytes(env.wire());
+  for (const auto& env : envs) {
+    w.u32(static_cast<std::uint32_t>(env.wire_size()));
+    env.write_wire(w);
+  }
   return std::move(w).take();
 }
 
-std::optional<std::vector<net::Envelope>> decode_outbox(ByteView data) {
-  Reader r(data);
+std::optional<std::vector<net::Envelope>> decode_outbox(SharedBytes data) {
+  Reader r(data.view());
   const std::uint32_t n = r.u32();
   if (n > 100'000) return std::nullopt;
+  // Each entry is a length prefix plus a minimal envelope: bound the count
+  // by the input before reserving.
+  if (n > r.remaining() / kMinOutboxEntry) return std::nullopt;
   std::vector<net::Envelope> envs;
   envs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t len = r.u32();
-    const ByteView b = r.view(len);  // view, not copy; deserialize frames it
+    const std::size_t offset = r.position();
+    r.skip(len);
     if (r.failed()) return std::nullopt;
-    auto env = net::Envelope::deserialize(b);
+    // A slice of the one result buffer: the envelope's payload, signature
+    // and wire image all alias it.
+    auto env = net::Envelope::from_frame(data.slice(offset, len));
     if (!env) return std::nullopt;
     envs.push_back(std::move(*env));
   }

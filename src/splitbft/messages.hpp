@@ -100,6 +100,11 @@ struct SplitPrePrepare {
 
   /// Returns a copy without the batch body (signature stays valid).
   [[nodiscard]] SplitPrePrepare stripped() const;
+
+  /// stripped().serialize() of a serialized pre-prepare, read from its
+  /// header without parsing or copying the batch; nullopt exactly where
+  /// deserialize() fails.
+  [[nodiscard]] static std::optional<Bytes> strip_payload(ByteView data);
 };
 
 /// Builds the sign-once fan-out prototype: one envelope from this enclave,
@@ -184,9 +189,15 @@ struct SessionAck {
 // ----------------------------------------------------------- outbox codec
 
 /// Enclave ecall results are serialized envelope lists — everything crossing
-/// the enclave boundary is bytes, as with the SGX SDK.
+/// the enclave boundary is bytes, as with the SGX SDK. Encoding writes
+/// every envelope's wire image into one buffer allocated once.
 [[nodiscard]] Bytes encode_outbox(const std::vector<net::Envelope>& envs);
+/// Decodes an ecall result held as one frame: every envelope is parsed in
+/// place (Envelope::from_frame over a slice), so all of them share `data`'s
+/// buffer and none of their bytes is copied. nullopt on a truncated,
+/// overlong or malformed outbox.
 [[nodiscard]] std::optional<std::vector<net::Envelope>> decode_outbox(
-    ByteView data);
+    SharedBytes data);
+
 
 }  // namespace sbft::splitbft

@@ -67,26 +67,29 @@ std::vector<net::Envelope> PrepCompartment::deliver(const net::Envelope& env) {
 
 void PrepCompartment::on_local_batch(const net::Envelope& env, Out& out) {
   if (!is_primary()) return;  // broker misrouted; liveness-only event
-  auto batch = pbft::RequestBatch::deserialize(env.payload);
+  const auto batch = pbft::parse_request_batch(env.payload);
   if (!batch || batch->empty()) return;
 
   // Authenticate every client request before ordering (paper §4 step 2).
-  for (const auto& req : batch->requests) {
+  for (const auto& req : *batch) {
     if (!req.mac_valid(clients_.hmac_key(req.client))) {
       return;  // reject the whole (untrusted broker-built) batch
     }
   }
+  // A batch that parses is canonical (its bytes are RequestBatch::serialize
+  // of its requests), so it is proposed as received.
+  Bytes batch_bytes = env.payload.to_bytes();
   if (!pipeline_open()) {
     // Pipeline at depth (or watermark window full): hold the authenticated
     // batch until a checkpoint certificate frees a slot, instead of
     // dropping it and waiting for the broker's suspicion timer to fire.
     constexpr std::size_t kMaxDeferred = 128;
     if (deferred_.size() < kMaxDeferred) {
-      deferred_.push_back(batch->serialize());
+      deferred_.push_back(std::move(batch_bytes));
     }
     return;
   }
-  propose_batch(batch->serialize(), out);
+  propose_batch(std::move(batch_bytes), out);
 }
 
 void PrepCompartment::propose_batch(Bytes batch_bytes, Out& out) {
@@ -97,7 +100,6 @@ void PrepCompartment::propose_batch(Bytes batch_bytes, Out& out) {
   pp.batch_digest = crypto::sha256(pp.batch);
   pp.sender = self_;
   pp.has_batch = true;
-  log_[pp.seq] = pp;
 
   // Full copy to every backup Preparation enclave (their broker duplicates
   // to Confirmation/Execution); own Confirmation gets the stripped header,
@@ -113,10 +115,14 @@ void PrepCompartment::propose_batch(Bytes batch_bytes, Out& out) {
     out.push_back(std::move(copy));
   }
   net::Envelope stripped = full;  // header signature still valid
-  stripped.payload = SharedBytes(pp.stripped().serialize());
+  if (auto header = SplitPrePrepare::strip_payload(full.payload)) {
+    stripped.payload = SharedBytes(std::move(*header));
+  }
   stripped.dst = principal::enclave({self_, Compartment::Confirmation});
   out.push_back(std::move(stripped));
   out.push_back(std::move(full));
+  const SeqNum seq = pp.seq;
+  log_[seq] = std::move(pp);
 }
 
 // -------------------------------------------------------------- handler (2)
@@ -133,9 +139,9 @@ void PrepCompartment::on_pre_prepare(const net::Envelope& env, Out& out) {
   if (!verify_pre_prepare_envelope(env, *pp, auth_, signer_id)) return;
   if (crypto::sha256(pp->batch) != pp->batch_digest) return;
 
-  auto batch = pbft::RequestBatch::deserialize(pp->batch);
+  const auto batch = pbft::parse_request_batch(pp->batch);
   if (!batch) return;
-  for (const auto& req : batch->requests) {
+  for (const auto& req : *batch) {
     if (!req.mac_valid(clients_.hmac_key(req.client))) {
       return;  // primary smuggled an unauthenticated request
     }
@@ -147,8 +153,9 @@ void PrepCompartment::on_pre_prepare(const net::Envelope& env, Out& out) {
     if (existing->second.batch_digest != pp->batch_digest) return;
     return;  // duplicate
   }
-  log_[pp->seq] = *pp;
   emit_prepare(*pp, out);
+  const SeqNum seq = pp->seq;
+  log_[seq] = std::move(*pp);
 }
 
 void PrepCompartment::emit_prepare(const SplitPrePrepare& pp, Out& out) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/serde.hpp"
 #include "crypto/hmac.hpp"
 #include "pbft/messages.hpp"
@@ -482,6 +484,93 @@ TEST(PbftMessages, MacValidChecksAuthAndEveryField) {
   EXPECT_TRUE(rr.mac_valid(key));
   rr.has_result = true;
   EXPECT_FALSE(rr.mac_valid(key));
+}
+
+// The zero-copy views accept exactly what the owning parsers accept,
+// alias the parsed bytes, and MAC the same bytes.
+TEST(PbftMessages, RequestViewsMatchTheOwningParsers) {
+  const crypto::HmacKey key = crypto::hmac_key(to_bytes("view-key"));
+  const RequestBatch batch = mixed_batch();
+  const Bytes wire = batch.serialize();
+  const auto views = parse_request_batch(wire);
+  ASSERT_TRUE(views.has_value());
+  ASSERT_EQ(views->size(), batch.requests.size());
+  for (std::size_t i = 0; i < views->size(); ++i) {
+    const RequestView& v = (*views)[i];
+    const Request& req = batch.requests[i];
+    EXPECT_EQ(v.client, req.client);
+    EXPECT_EQ(v.timestamp, req.timestamp);
+    EXPECT_TRUE(std::ranges::equal(v.payload, req.payload));
+    EXPECT_TRUE(std::ranges::equal(v.auth, req.auth));
+    EXPECT_TRUE(std::ranges::equal(v.bytes, req.serialize()));
+    EXPECT_GE(v.bytes.data(), wire.data());  // a view into `wire`
+    EXPECT_LE(v.bytes.data() + v.bytes.size(), wire.data() + wire.size());
+    EXPECT_EQ(v.mac(key), req.mac(key));
+  }
+  Request signed_req = sample_request();
+  const Digest mac = signed_req.mac(key);
+  signed_req.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
+  const Bytes one = signed_req.serialize();
+  ASSERT_TRUE(RequestView::parse(one).has_value());
+  EXPECT_TRUE(RequestView::parse(one)->mac_valid(key));
+  EXPECT_FALSE(RequestView::parse(one)->mac_valid(
+      crypto::hmac_key(to_bytes("other"))));
+
+  // Every prefix, and a trailing byte, parse exactly as deserialize does.
+  Bytes longer = one;
+  longer.push_back(0);
+  for (std::size_t len = 0; len <= longer.size(); ++len) {
+    const ByteView cut{longer.data(), len};
+    EXPECT_EQ(RequestView::parse(cut).has_value(),
+              Request::deserialize(cut).has_value())
+        << len;
+  }
+  Bytes batch_longer = wire;
+  batch_longer.push_back(0);
+  for (std::size_t len = 0; len <= batch_longer.size(); ++len) {
+    const ByteView cut{batch_longer.data(), len};
+    EXPECT_EQ(parse_request_batch(cut).has_value(),
+              RequestBatch::deserialize(cut).has_value())
+        << len;
+  }
+  const auto empty = parse_request_batch(RequestBatch{}.serialize());
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->empty());
+}
+
+TEST(PbftMessages, ReplyViewMatchesTheOwningParser) {
+  const crypto::HmacKey key = crypto::hmac_key(to_bytes("reply-key"));
+  for (const std::size_t n : {0u, 7u, 40u, 200u}) {
+    Reply reply;
+    reply.view = 3;
+    reply.timestamp = 99;
+    reply.client = 1234;
+    reply.sender = 2;
+    reply.result = filled(n, static_cast<std::uint8_t>(n));
+    const Digest mac = reply.mac(key);
+    reply.auth = Bytes(mac.bytes.begin(), mac.bytes.end());
+    const Bytes wire = reply.serialize();
+    const auto v = ReplyView::parse(wire);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->view, reply.view);
+    EXPECT_EQ(v->timestamp, reply.timestamp);
+    EXPECT_EQ(v->client, reply.client);
+    EXPECT_EQ(v->sender, reply.sender);
+    EXPECT_TRUE(std::ranges::equal(v->result, reply.result));
+    EXPECT_TRUE(std::ranges::equal(v->auth, reply.auth));
+    EXPECT_EQ(v->mac(key), mac);
+    EXPECT_TRUE(v->mac_valid(key));
+    EXPECT_FALSE(v->mac_valid(crypto::hmac_key(to_bytes("other"))));
+
+    Bytes longer = wire;
+    longer.push_back(0);
+    for (std::size_t len = 0; len <= longer.size(); ++len) {
+      const ByteView cut{longer.data(), len};
+      EXPECT_EQ(ReplyView::parse(cut).has_value(),
+                Reply::deserialize(cut).has_value())
+          << len;
+    }
+  }
 }
 
 }  // namespace

@@ -300,10 +300,9 @@ TEST(EnclaveAdapter, MalformedEcallPayloadYieldsEmptyOutbox) {
   auto logic = std::make_unique<ConfCompartment>(
       fx.config, 0, fx.signer(0, Compartment::Confirmation), fx.verifier);
   CompartmentEnclave enclave(std::move(logic));
-  const Bytes result = enclave.ecall(
+  const auto outbox = decode_outbox(SharedBytes(enclave.ecall(
       static_cast<std::uint32_t>(tee::EcallFn::DeliverMessage),
-      to_bytes("garbage"));
-  const auto outbox = decode_outbox(result);
+      to_bytes("garbage"))));
   ASSERT_TRUE(outbox.has_value());
   EXPECT_TRUE(outbox->empty());
 }
@@ -321,19 +320,22 @@ TEST(EnclaveAdapter, MeasurementMatchesCompartmentType) {
 
 // Stand-in compartment for broker tests: answers every ecall with a
 // preset outbox (empty unless the test sets one) and, given an inbox,
-// records the type of every envelope delivered to it.
+// records the type of every envelope delivered to it (given `delivered`,
+// the whole envelope).
 class ScriptedEnclave final : public tee::Enclave {
  public:
   explicit ScriptedEnclave(
       std::shared_ptr<std::vector<net::Envelope>> outbox,
-      std::shared_ptr<std::vector<std::uint32_t>> inbox = nullptr)
-      : outbox_(std::move(outbox)), inbox_(std::move(inbox)) {}
+      std::shared_ptr<std::vector<std::uint32_t>> inbox = nullptr,
+      std::shared_ptr<std::vector<net::Envelope>> delivered = nullptr)
+      : outbox_(std::move(outbox)),
+        inbox_(std::move(inbox)),
+        delivered_(std::move(delivered)) {}
   [[nodiscard]] Digest measurement() const override { return {}; }
   [[nodiscard]] Bytes ecall(std::uint32_t, ByteView input) override {
-    if (inbox_) {
-      if (auto env = net::Envelope::deserialize(input)) {
-        inbox_->push_back(env->type);
-      }
+    if (auto env = net::Envelope::deserialize(input)) {
+      if (inbox_) inbox_->push_back(env->type);
+      if (delivered_) delivered_->push_back(std::move(*env));
     }
     return encode_outbox(*outbox_);
   }
@@ -341,13 +343,16 @@ class ScriptedEnclave final : public tee::Enclave {
  private:
   std::shared_ptr<std::vector<net::Envelope>> outbox_;
   std::shared_ptr<std::vector<std::uint32_t>> inbox_;
+  std::shared_ptr<std::vector<net::Envelope>> delivered_;
 };
 
 [[nodiscard]] std::unique_ptr<tee::EnclaveHost> scripted_host(
     std::shared_ptr<std::vector<net::Envelope>> outbox,
-    std::shared_ptr<std::vector<std::uint32_t>> inbox = nullptr) {
+    std::shared_ptr<std::vector<std::uint32_t>> inbox = nullptr,
+    std::shared_ptr<std::vector<net::Envelope>> delivered = nullptr) {
   return std::make_unique<tee::EnclaveHost>(
-      std::make_unique<ScriptedEnclave>(std::move(outbox), std::move(inbox)),
+      std::make_unique<ScriptedEnclave>(std::move(outbox), std::move(inbox),
+                                        std::move(delivered)),
       tee::CostModel::simulation(), false);
 }
 
@@ -365,6 +370,8 @@ class ScriptedEnclave final : public tee::Enclave {
   pbft::Reply reply;
   reply.client = client;
   reply.timestamp = ts;
+  reply.result = to_bytes("sealed result");
+  reply.auth = Bytes(32, 0x11);
   return reply.serialize();
 }
 
@@ -416,10 +423,80 @@ TEST(Broker, ReplyRetiresOnlyItsClientsOlderRequests) {
   EXPECT_EQ(broker.outstanding_count(), 7u);  // c@3 and both neighbours
   expect_reply(c + 2, reply_for(c + 2, 5));
   EXPECT_EQ(broker.outstanding_count(), 7u);  // nothing outstanding there
+  // A Reply that pbft::Reply::deserialize rejects (trailing bytes, a cut
+  // auth field) retires nothing, though it is still forwarded.
+  Bytes trailing = reply_for(c, UINT64_MAX);
+  trailing.push_back(0);
+  expect_reply(c, trailing);
+  Bytes cut = reply_for(c, UINT64_MAX);
+  cut.pop_back();
+  ASSERT_FALSE(pbft::Reply::deserialize(cut).has_value());
+  expect_reply(c, cut);
+  EXPECT_EQ(broker.outstanding_count(), 7u);
   expect_reply(c, reply_for(c, UINT64_MAX));
   EXPECT_EQ(broker.outstanding_count(), 6u);  // c@3 retired
   expect_reply(c - 1, to_bytes("not a reply"));
   EXPECT_EQ(broker.outstanding_count(), 6u);
+}
+
+// The batch the broker cuts is RequestBatch::serialize() of its requests
+// in (client, timestamp) order, byte for byte, though the broker never
+// re-encodes a request: it concatenates the bytes it admitted.
+TEST(Broker, CutBatchIsSerializeOfTheAdmittedRequests) {
+  Fixture fx;
+  fx.config.batch_max = 4;
+  const auto silent = std::make_shared<std::vector<net::Envelope>>();
+  const auto prep_in = std::make_shared<std::vector<net::Envelope>>();
+  Broker broker(fx.config, 0, scripted_host(silent, nullptr, prep_in),
+                scripted_host(silent), scripted_host(silent));
+  const ClientId a = kFirstClientId;
+  const ClientId b = kFirstClientId + 1;
+  const std::pair<ClientId, Timestamp> arrivals[] = {
+      {b, 2}, {a, 7}, {b, 1}, {a, 3}};
+  Micros now = 1;
+  for (const auto& [client, ts] : arrivals) {
+    (void)broker.handle(request_envelope(fx, client, ts), now++);
+  }
+  ASSERT_EQ(prep_in->size(), 1u);  // batch_max reached: one cut
+  const net::Envelope& batch = prep_in->front();
+  EXPECT_EQ(batch.type, tag(LocalMsg::Batch));
+  pbft::RequestBatch expected;
+  for (const auto& [client, ts] :
+       {std::pair{a, Timestamp{3}}, std::pair{a, Timestamp{7}},
+        std::pair{b, Timestamp{1}}, std::pair{b, Timestamp{2}}}) {
+    expected.requests.push_back(fx.make_request(client, ts));
+  }
+  EXPECT_EQ(batch.payload, expected.serialize());
+  EXPECT_EQ(broker.pending_batch_size(), 0u);
+  EXPECT_EQ(broker.outstanding_count(), 4u);
+}
+
+// The broker admits exactly the client Requests pbft::Request::deserialize
+// accepts: one with trailing bytes or a cut auth field arms no timer and
+// never reaches a batch.
+TEST(Broker, MalformedRequestIsNotAdmitted) {
+  Fixture fx;
+  fx.config.batch_max = 1;  // every admitted request is cut at once
+  const auto silent = std::make_shared<std::vector<net::Envelope>>();
+  const auto prep_in = std::make_shared<std::vector<std::uint32_t>>();
+  Broker broker(fx.config, 0, scripted_host(silent, prep_in),
+                scripted_host(silent), scripted_host(silent));
+  const Bytes valid = fx.make_request(kFirstClientId, 1).serialize();
+  Bytes trailing = valid;
+  trailing.push_back(0);
+  Bytes short_auth = valid;
+  short_auth.pop_back();
+  for (const Bytes& payload : {trailing, short_auth}) {
+    ASSERT_FALSE(pbft::Request::deserialize(payload).has_value());
+    net::Envelope env = request_envelope(fx, kFirstClientId, 1);
+    env.payload = SharedBytes::copy_of(payload);
+    (void)broker.handle(env, 10);
+    EXPECT_EQ(broker.outstanding_count(), 0u);
+    EXPECT_TRUE(prep_in->empty());
+  }
+  (void)broker.handle(request_envelope(fx, kFirstClientId, 1), 11);
+  EXPECT_EQ(broker.outstanding_count(), 1u);
+  EXPECT_EQ(prep_in->size(), 1u);
 }
 
 // A request's suspicion fires at the first tick at or after its deadline
