@@ -99,66 +99,78 @@ class Poly1305 {
         r2_((load_le32(key.data() + 6) >> 4) & 0x3ffc0ff),
         r3_((load_le32(key.data() + 9) >> 6) & 0x3f03fff),
         r4_((load_le32(key.data() + 12) >> 8) & 0x00fffff),
+        s1_(r1_ * 5),
+        s2_(r2_ * 5),
+        s3_(r3_ * 5),
+        s4_(r4_ * 5),
         pad_{load_le32(key.data() + 16), load_le32(key.data() + 20),
              load_le32(key.data() + 24), load_le32(key.data() + 28)} {}
 
-  void block(const std::uint8_t* m, std::uint32_t hibit) noexcept {
-    const std::uint32_t s1 = r1_ * 5;
-    const std::uint32_t s2 = r2_ * 5;
-    const std::uint32_t s3 = r3_ * 5;
-    const std::uint32_t s4 = r4_ * 5;
-
-    h0_ += load_le32(m + 0) & 0x3ffffff;
-    h1_ += (load_le32(m + 3) >> 2) & 0x3ffffff;
-    h2_ += (load_le32(m + 6) >> 4) & 0x3ffffff;
-    h3_ += (load_le32(m + 9) >> 6) & 0x3ffffff;
-    h4_ += (load_le32(m + 12) >> 8) | hibit;
-
+  /// Absorbs `count` consecutive 16-byte blocks at `m`. The state is held
+  /// in locals across the loop: `m` is a byte pointer that may alias the
+  /// members, so updating them per block would force a store and reload
+  /// of every limb.
+  void blocks(const std::uint8_t* m, std::size_t count,
+              std::uint32_t hibit) noexcept {
+    const std::uint32_t r0 = r0_, r1 = r1_, r2 = r2_, r3 = r3_, r4 = r4_;
+    const std::uint32_t s1 = s1_, s2 = s2_, s3 = s3_, s4 = s4_;
+    std::uint32_t h0 = h0_, h1 = h1_, h2 = h2_, h3 = h3_, h4 = h4_;
     const auto mul = [](std::uint32_t a, std::uint32_t b) {
       return static_cast<std::uint64_t>(a) * b;
     };
-    const std::uint64_t d0 = mul(h0_, r0_) + mul(h1_, s4) + mul(h2_, s3) +
-                             mul(h3_, s2) + mul(h4_, s1);
-    std::uint64_t d1 = mul(h0_, r1_) + mul(h1_, r0_) + mul(h2_, s4) +
-                       mul(h3_, s3) + mul(h4_, s2);
-    std::uint64_t d2 = mul(h0_, r2_) + mul(h1_, r1_) + mul(h2_, r0_) +
-                       mul(h3_, s4) + mul(h4_, s3);
-    std::uint64_t d3 = mul(h0_, r3_) + mul(h1_, r2_) + mul(h2_, r1_) +
-                       mul(h3_, r0_) + mul(h4_, s4);
-    std::uint64_t d4 = mul(h0_, r4_) + mul(h1_, r3_) + mul(h2_, r2_) +
-                       mul(h3_, r1_) + mul(h4_, r0_);
+    for (; count > 0; --count, m += 16) {
+      h0 += load_le32(m + 0) & 0x3ffffff;
+      h1 += (load_le32(m + 3) >> 2) & 0x3ffffff;
+      h2 += (load_le32(m + 6) >> 4) & 0x3ffffff;
+      h3 += (load_le32(m + 9) >> 6) & 0x3ffffff;
+      h4 += (load_le32(m + 12) >> 8) | hibit;
 
-    std::uint64_t c = d0 >> 26;
-    h0_ = static_cast<std::uint32_t>(d0) & 0x3ffffff;
-    d1 += c;
-    c = d1 >> 26;
-    h1_ = static_cast<std::uint32_t>(d1) & 0x3ffffff;
-    d2 += c;
-    c = d2 >> 26;
-    h2_ = static_cast<std::uint32_t>(d2) & 0x3ffffff;
-    d3 += c;
-    c = d3 >> 26;
-    h3_ = static_cast<std::uint32_t>(d3) & 0x3ffffff;
-    d4 += c;
-    c = d4 >> 26;
-    h4_ = static_cast<std::uint32_t>(d4) & 0x3ffffff;
-    h0_ += static_cast<std::uint32_t>(c) * 5;
-    c = h0_ >> 26;
-    h0_ &= 0x3ffffff;
-    h1_ += static_cast<std::uint32_t>(c);
+      const std::uint64_t d0 = mul(h0, r0) + mul(h1, s4) + mul(h2, s3) +
+                               mul(h3, s2) + mul(h4, s1);
+      std::uint64_t d1 = mul(h0, r1) + mul(h1, r0) + mul(h2, s4) +
+                         mul(h3, s3) + mul(h4, s2);
+      std::uint64_t d2 = mul(h0, r2) + mul(h1, r1) + mul(h2, r0) +
+                         mul(h3, s4) + mul(h4, s3);
+      std::uint64_t d3 = mul(h0, r3) + mul(h1, r2) + mul(h2, r1) +
+                         mul(h3, r0) + mul(h4, s4);
+      std::uint64_t d4 = mul(h0, r4) + mul(h1, r3) + mul(h2, r2) +
+                         mul(h3, r1) + mul(h4, r0);
+
+      std::uint64_t c = d0 >> 26;
+      h0 = static_cast<std::uint32_t>(d0) & 0x3ffffff;
+      d1 += c;
+      c = d1 >> 26;
+      h1 = static_cast<std::uint32_t>(d1) & 0x3ffffff;
+      d2 += c;
+      c = d2 >> 26;
+      h2 = static_cast<std::uint32_t>(d2) & 0x3ffffff;
+      d3 += c;
+      c = d3 >> 26;
+      h3 = static_cast<std::uint32_t>(d3) & 0x3ffffff;
+      d4 += c;
+      c = d4 >> 26;
+      h4 = static_cast<std::uint32_t>(d4) & 0x3ffffff;
+      h0 += static_cast<std::uint32_t>(c) * 5;
+      c = h0 >> 26;
+      h0 &= 0x3ffffff;
+      h1 += static_cast<std::uint32_t>(c);
+    }
+    h0_ = h0;
+    h1_ = h1;
+    h2_ = h2;
+    h3_ = h3;
+    h4_ = h4;
   }
 
   /// Feeds `data` as full blocks, zero-padding the last one to 16 bytes
   /// (the AEAD construction's pad16).
   void padded(ByteView data) noexcept {
-    std::size_t pos = 0;
-    for (; pos + 16 <= data.size(); pos += 16) {
-      block(data.data() + pos, kFullBlock);
-    }
-    if (pos < data.size()) {
+    const std::size_t full = data.size() / 16;
+    blocks(data.data(), full, kFullBlock);
+    if (data.size() % 16 != 0) {
       std::array<std::uint8_t, 16> last{};
-      std::memcpy(last.data(), data.data() + pos, data.size() - pos);
-      block(last.data(), kFullBlock);
+      std::memcpy(last.data(), data.data() + full * 16, data.size() % 16);
+      blocks(last.data(), 1, kFullBlock);
     }
   }
 
@@ -236,6 +248,7 @@ class Poly1305 {
 
  private:
   std::uint32_t r0_, r1_, r2_, r3_, r4_;
+  std::uint32_t s1_, s2_, s3_, s4_;  // r1..r4 * 5, for the mod-p fold
   std::uint32_t pad_[4];
   std::uint32_t h0_{0}, h1_{0}, h2_{0}, h3_{0}, h4_{0};
 };
@@ -245,10 +258,12 @@ class Poly1305 {
 /// fed block by block with no assembled MAC input.
 [[nodiscard]] Tag16 aead_tag(const Key32& key, const Nonce12& nonce,
                              ByteView aad, ByteView ciphertext) noexcept {
-  std::array<std::uint8_t, 64> block0;
-  chacha20_block(key, nonce, 0, block0);
-  Key32 otk;
-  std::memcpy(otk.data(), block0.data(), otk.size());
+  // The keystream XORed over zeros. chacha20_xor stays chacha20_block's
+  // only caller: GCC then inlines the block function into the XOR loop,
+  // which made a 1 KB keystream about a third faster than an out-of-line
+  // call.
+  Key32 otk{};
+  chacha20_xor(key, nonce, 0, otk, otk.data());
 
   Poly1305 mac(otk);
   mac.padded(aad);
@@ -260,7 +275,7 @@ class Poly1305 {
     lengths[8 + i] = static_cast<std::uint8_t>(
         static_cast<std::uint64_t>(ciphertext.size()) >> (8 * i));
   }
-  mac.block(lengths.data(), Poly1305::kFullBlock);
+  mac.blocks(lengths.data(), 1, Poly1305::kFullBlock);
   return mac.finish();
 }
 
@@ -268,17 +283,15 @@ class Poly1305 {
 
 Tag16 poly1305(const Key32& key, ByteView data) noexcept {
   Poly1305 mac(key);
-  std::size_t pos = 0;
-  for (; pos + 16 <= data.size(); pos += 16) {
-    mac.block(data.data() + pos, Poly1305::kFullBlock);
-  }
-  if (pos < data.size()) {
+  const std::size_t full = data.size() / 16;
+  mac.blocks(data.data(), full, Poly1305::kFullBlock);
+  if (data.size() % 16 != 0) {
     // Final partial block: a 1 byte after the message, no 2^128 bit.
     std::array<std::uint8_t, 16> last{};
-    const std::size_t take = data.size() - pos;
-    std::memcpy(last.data(), data.data() + pos, take);
+    const std::size_t take = data.size() % 16;
+    std::memcpy(last.data(), data.data() + full * 16, take);
     last[take] = 1;
-    mac.block(last.data(), 0);
+    mac.blocks(last.data(), 1, 0);
   }
   return mac.finish();
 }

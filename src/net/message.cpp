@@ -32,6 +32,7 @@ std::atomic<std::uint64_t> g_wire_builds{0};
 // [16, 24+n) — received envelopes alias it instead of rebuilding it.
 constexpr std::size_t kHeaderBytes = 16;   // src + dst
 constexpr std::size_t kSigningPrefix = 8;  // type + payload length
+static_assert(Envelope::kMinWireBytes == kHeaderBytes + kSigningPrefix + 4);
 
 }  // namespace
 
@@ -83,13 +84,10 @@ SharedBytes Envelope::wire() const {
       wire_dst_ == dst && same_frame_loc(wire_signature_key_, signature)) {
     return wire_image_;
   }
+  // The memo keys the cached image (memo_base_valid above).
   ensure_base_memo();
-  Writer w;
-  w.reserve(kHeaderBytes + memo_->signing.size() + 4 + signature.size());
-  w.u64(src);
-  w.u64(dst);
-  w.raw(memo_->signing);
-  w.bytes(signature);
+  Writer w(wire_size());
+  write_wire(w);
   wire_image_ = SharedBytes(std::move(w).take());
   wire_src_ = src;
   wire_dst_ = dst;

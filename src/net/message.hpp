@@ -64,10 +64,13 @@ struct Envelope {
   /// Size of the wire image: routing header, then payload and signature,
   /// each with its length prefix.
   [[nodiscard]] std::size_t wire_size() const noexcept;
+  /// wire_size() of an envelope with empty payload and signature.
+  static constexpr std::size_t kMinWireBytes = 8 + 8 + 4 + 4 + 4;
 
-  /// Appends the wire image to `w` straight from the fields: the bytes of
-  /// wire(), with no memo built or consulted. For one-shot encoders that
-  /// copy the image anyway, such as an enclave's outbox.
+  /// Appends the wire image to `w` straight from the fields, with no memo
+  /// built or consulted: the one encoder of the layout, which wire() also
+  /// uses. For one-shot encoders that copy the image anyway, such as an
+  /// enclave's outbox.
   void write_wire(Writer& w) const;
 
   /// The byte string the signature covers, (type || payload), as a view

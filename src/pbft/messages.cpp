@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 
 #include "common/serde.hpp"
 #include "crypto/sha256.hpp"
@@ -75,38 +76,47 @@ class AuthHeader {
   std::size_t len_{0};
 };
 
-[[nodiscard]] std::uint32_t len32(const Bytes& b) {
-  return static_cast<std::uint32_t>(b.size());
+// The Request and Reply header layouts, written once for both sinks: a
+// Writer (serialize, write_*_header) and an AuthHeader (a MAC over
+// fields, hashed from the stack).
+
+template <typename Sink>
+void put_request_header(Sink& s, ClientId client, Timestamp timestamp,
+                        std::size_t payload_size) {
+  s.u32(client);
+  s.u64(timestamp);
+  s.u32(static_cast<std::uint32_t>(payload_size));
 }
 
-// Each client-authenticated message is, on the wire: these fixed fields
-// up to and including the body's length prefix, the body, then the
-// length-prefixed MAC. The MAC covers the first two parts, so a MAC hashes
-// the header from the stack and the body in place.
-
-/// A Request's fixed fields through the payload length prefix.
-constexpr std::size_t kRequestHeaderBytes = 4 + 8 + 4;
+template <typename Sink>
+void put_reply_header(Sink& s, View view, Timestamp timestamp,
+                      ClientId client, ReplicaId sender,
+                      std::size_t result_size) {
+  s.u64(view);
+  s.u64(timestamp);
+  s.u32(client);
+  s.u32(sender);
+  s.u32(static_cast<std::uint32_t>(result_size));
+}
 
 [[nodiscard]] AuthHeader<kRequestHeaderBytes> auth_header(const Request& m) {
   AuthHeader<kRequestHeaderBytes> h;
-  h.u32(m.client).u64(m.timestamp).u32(len32(m.payload));
+  put_request_header(h, m.client, m.timestamp, m.payload.size());
   return h;
 }
 
-/// A Reply's fixed fields through the result length prefix.
-constexpr std::size_t kReplyHeaderBytes = 8 + 8 + 4 + 4 + 4;
-
 [[nodiscard]] AuthHeader<kReplyHeaderBytes> auth_header(const Reply& m) {
   AuthHeader<kReplyHeaderBytes> h;
-  h.u64(m.view).u64(m.timestamp).u32(m.client).u32(m.sender);
-  h.u32(len32(m.result));
+  put_reply_header(h, m.view, m.timestamp, m.client, m.sender,
+                   m.result.size());
   return h;
 }
 
 [[nodiscard]] AuthHeader<61> auth_header(const ReadReply& m) {
   AuthHeader<61> h;
   h.u64(m.timestamp).u32(m.client).u32(m.sender).u64(m.exec_seq);
-  h.digest(m.result_digest).u8(m.has_result ? 1 : 0).u32(len32(m.result));
+  h.digest(m.result_digest).u8(m.has_result ? 1 : 0);
+  h.u32(static_cast<std::uint32_t>(m.result.size()));
   return h;
 }
 
@@ -123,7 +133,54 @@ void put_authenticated(Writer& w, const Msg& m, const Bytes& body) {
   w.bytes(m.auth);
 }
 
+[[nodiscard]] Bytes copy(ByteView v) { return Bytes(v.begin(), v.end()); }
+
+[[nodiscard]] Request owned(const RequestView& v) {
+  return Request{v.client, v.timestamp, copy(v.payload), copy(v.auth)};
+}
+
+/// The one RequestBatch parser: bounds the count, then appends
+/// `convert(view)` of each request to `out`. False on malformed input.
+template <typename T, typename Convert>
+[[nodiscard]] bool parse_batch(ByteView data, std::vector<T>& out,
+                               Convert convert) {
+  Reader r(data);
+  const std::uint32_t n = r.u32();
+  if (n > 100'000) return false;
+  // A serialized request is at least 20 bytes (length prefix + fixed
+  // fields): bound the count by the remaining input before reserving.
+  if (n > r.remaining() / 20) return false;
+  out.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t len = r.u32();
+    const ByteView b = r.view(len);
+    if (r.failed()) return false;
+    const auto view = RequestView::parse(b);
+    if (!view) return false;
+    out.push_back(convert(*view));
+  }
+  return r.done();
+}
+
 }  // namespace
+
+// -------------------------------------------------- authenticated layouts
+
+void write_request_header(Writer& w, ClientId client, Timestamp timestamp,
+                          std::size_t payload_size) {
+  put_request_header(w, client, timestamp, payload_size);
+}
+
+void write_reply_header(Writer& w, View view, Timestamp timestamp,
+                        ClientId client, ReplicaId sender,
+                        std::size_t result_size) {
+  put_reply_header(w, view, timestamp, client, sender, result_size);
+}
+
+void append_mac(Writer& w, const crypto::HmacKey& key) {
+  const Digest mac = crypto::hmac_sha256(key, w.data());
+  w.bytes(mac.view());
+}
 
 // ---------------------------------------------------------------- Request
 
@@ -134,14 +191,9 @@ Bytes Request::serialize() const {
 }
 
 std::optional<Request> Request::deserialize(ByteView data) {
-  Reader r(data);
-  Request req;
-  req.client = r.u32();
-  req.timestamp = r.u64();
-  req.payload = r.bytes();
-  req.auth = r.bytes();
-  if (!r.done()) return std::nullopt;
-  return req;
+  const auto view = RequestView::parse(data);
+  if (!view) return std::nullopt;
+  return owned(*view);
 }
 
 Bytes Request::auth_input() const {
@@ -177,7 +229,7 @@ std::optional<RequestView> RequestView::parse(ByteView data) {
 }
 
 Digest RequestView::mac(const crypto::HmacKey& key) const {
-  // The wire prefix up to the auth length is auth_header() || payload.
+  // The wire prefix up to the auth length is the header and the payload.
   return crypto::hmac_sha256(
       key, bytes.first(kRequestHeaderBytes + payload.size()));
 }
@@ -189,7 +241,8 @@ bool RequestView::mac_valid(const crypto::HmacKey& key) const {
 // ----------------------------------------------------------- RequestBatch
 
 Bytes RequestBatch::serialize() const {
-  // Each request is length-prefixed and written in place.
+  // Each request is length-prefixed and written in place: the layout of
+  // concat_request_batch over the serialized requests.
   std::size_t size = 4;
   for (const auto& req : requests) size += 4 + wire_size(req, req.payload);
   Writer w(size);
@@ -202,43 +255,14 @@ Bytes RequestBatch::serialize() const {
 }
 
 std::optional<RequestBatch> RequestBatch::deserialize(ByteView data) {
-  Reader r(data);
-  const std::uint32_t n = r.u32();
-  if (n > 100'000) return std::nullopt;
-  // A serialized request is at least 20 bytes (length prefix + fixed
-  // fields): bound the count by the remaining input before reserving.
-  if (n > r.remaining() / 20) return std::nullopt;
   RequestBatch batch;
-  batch.requests.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t len = r.u32();
-    const ByteView b = r.view(len);
-    if (r.failed()) return std::nullopt;
-    auto req = Request::deserialize(b);
-    if (!req) return std::nullopt;
-    batch.requests.push_back(std::move(*req));
-  }
-  if (!r.done()) return std::nullopt;
+  if (!parse_batch(data, batch.requests, owned)) return std::nullopt;
   return batch;
 }
 
 std::optional<std::vector<RequestView>> parse_request_batch(ByteView data) {
-  // The same checks, in the same order, as RequestBatch::deserialize.
-  Reader r(data);
-  const std::uint32_t n = r.u32();
-  if (n > 100'000) return std::nullopt;
-  if (n > r.remaining() / 20) return std::nullopt;
   std::vector<RequestView> views;
-  views.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t len = r.u32();
-    const ByteView b = r.view(len);
-    if (r.failed()) return std::nullopt;
-    auto view = RequestView::parse(b);
-    if (!view) return std::nullopt;
-    views.push_back(*view);
-  }
-  if (!r.done()) return std::nullopt;
+  if (!parse_batch(data, views, std::identity{})) return std::nullopt;
   return views;
 }
 
@@ -321,16 +345,10 @@ Bytes Reply::serialize() const {
 }
 
 std::optional<Reply> Reply::deserialize(ByteView data) {
-  Reader r(data);
-  Reply m;
-  m.view = r.u64();
-  m.timestamp = r.u64();
-  m.client = r.u32();
-  m.sender = r.u32();
-  m.result = r.bytes();
-  m.auth = r.bytes();
-  if (!r.done()) return std::nullopt;
-  return m;
+  const auto v = ReplyView::parse(data);
+  if (!v) return std::nullopt;
+  return Reply{v->view,   v->timestamp,     v->client,
+               v->sender, copy(v->result), copy(v->auth)};
 }
 
 Digest Reply::mac(const crypto::HmacKey& key) const {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/serde.hpp"
 #include "common/types.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/merkle.hpp"
@@ -49,6 +50,30 @@ enum class MsgType : std::uint32_t {
   return static_cast<std::uint32_t>(t);
 }
 
+// Client-authenticated wire layouts. A Request is client u32, timestamp
+// u64, then the payload and the client's MAC, each with a u32 length
+// prefix. A Reply is view u64, timestamp u64, client u32, sender u32, then
+// the result and the MAC the same way. The MAC covers every byte before
+// its own length prefix: the header write_*_header writes, then the body.
+// Request/Reply::serialize and callers that build a message in one buffer
+// (a sealed body written in place) share these writers.
+
+/// A Request's fixed fields through the payload length prefix.
+inline constexpr std::size_t kRequestHeaderBytes = 4 + 8 + 4;
+/// A Reply's fixed fields through the result length prefix.
+inline constexpr std::size_t kReplyHeaderBytes = 8 + 8 + 4 + 4 + 4;
+/// A client MAC with its length prefix, as append_mac writes it.
+inline constexpr std::size_t kMacFieldBytes = 4 + sizeof(Digest::bytes);
+
+void write_request_header(Writer& w, ClientId client, Timestamp timestamp,
+                          std::size_t payload_size);
+void write_reply_header(Writer& w, View view, Timestamp timestamp,
+                        ClientId client, ReplicaId sender,
+                        std::size_t result_size);
+/// Appends the length-prefixed HMAC under `key` over everything in `w`:
+/// after a header and its body, the message's auth field.
+void append_mac(Writer& w, const crypto::HmacKey& key);
+
 /// Client request. `payload` is the application operation — in SplitBFT it
 /// is AEAD-encrypted for the Execution enclave; the agreement layers only
 /// ever see ciphertext. `auth` is the client's HMAC.
@@ -81,8 +106,8 @@ struct RequestBatch {
 };
 
 /// Zero-copy view of one serialized Request: every field aliases the
-/// bytes it was parsed from, which must outlive the view. Accepts exactly
-/// what Request::deserialize accepts.
+/// bytes it was parsed from, which must outlive the view. The one Request
+/// parser: Request::deserialize is parse() plus a copy of the fields.
 struct RequestView {
   ClientId client{0};
   Timestamp timestamp{0};
@@ -100,10 +125,27 @@ struct RequestView {
 };
 
 /// Parses a serialized RequestBatch into views of its requests: one vector,
-/// no request bytes copied. Accepts exactly what RequestBatch::deserialize
-/// accepts, and the views alias `data`.
+/// no request bytes copied. RequestBatch::deserialize is this parse plus a
+/// copy of each request, and the views alias `data`.
 [[nodiscard]] std::optional<std::vector<RequestView>> parse_request_batch(
     ByteView data);
+
+/// RequestBatch::serialize() of requests that are already serialized (a
+/// range of ByteView-convertible buffers): the count, then each request
+/// with its length prefix, in one buffer sized once.
+template <typename Range>
+[[nodiscard]] Bytes concat_request_batch(const Range& requests) {
+  std::size_t size = 4;
+  std::uint32_t count = 0;
+  for (const auto& req : requests) {
+    size += 4 + ByteView(req).size();
+    ++count;
+  }
+  Writer w(size);
+  w.u32(count);
+  for (const auto& req : requests) w.bytes(req);
+  return std::move(w).take();
+}
 
 struct PrePrepare {
   View view{0};
@@ -153,8 +195,8 @@ struct Reply {
 };
 
 /// Zero-copy view of one serialized Reply: every field aliases the bytes it
-/// was parsed from, which must outlive the view. Accepts exactly what
-/// Reply::deserialize accepts.
+/// was parsed from, which must outlive the view. The one Reply parser:
+/// Reply::deserialize is parse() plus a copy of the fields.
 struct ReplyView {
   View view{0};
   Timestamp timestamp{0};

@@ -8,27 +8,6 @@
 
 namespace sbft::splitbft {
 
-namespace {
-
-/// Writes a serialized RequestBatch (RequestBatch::serialize's layout: a
-/// count, then each request length-prefixed) from the requests' own
-/// serialized bytes, into one buffer sized once.
-template <typename Range>
-[[nodiscard]] Bytes concat_batch(const Range& requests) {
-  std::size_t size = 4;
-  std::uint32_t count = 0;
-  for (const SharedBytes& req : requests) {
-    size += 4 + req.size();
-    ++count;
-  }
-  Writer w(size);
-  w.u32(count);
-  for (const SharedBytes& req : requests) w.bytes(req);
-  return std::move(w).take();
-}
-
-}  // namespace
-
 Broker::Broker(pbft::Config config, ReplicaId self,
                std::unique_ptr<tee::EnclaveHost> prep,
                std::unique_ptr<tee::EnclaveHost> conf,
@@ -292,7 +271,7 @@ void Broker::cut_batch(Micros now, Out& out) {
   env.src = 0;  // local, unauthenticated (the enclave re-checks everything)
   env.dst = principal::enclave({self_, Compartment::Preparation});
   env.type = tag(LocalMsg::Batch);
-  env.payload = SharedBytes(concat_batch(std::ranges::subrange(
+  env.payload = SharedBytes(pbft::concat_request_batch(std::ranges::subrange(
       pending_batch_.begin(), end) | std::views::values));
   pending_batch_.erase(pending_batch_.begin(), end);
   deliver_to(Compartment::Preparation, env, out);
@@ -331,8 +310,8 @@ void Broker::cut_read_batch(Micros now, Out& out) {
     env.src = 0;  // local hand-off; the enclave re-checks every read
     env.dst = principal::enclave({self_, Compartment::Execution});
     env.type = tag(LocalMsg::ReadBatch);
-    env.payload = SharedBytes(
-        concat_batch(std::ranges::subrange(pending_reads_.begin(), end)));
+    env.payload = SharedBytes(pbft::concat_request_batch(
+        std::ranges::subrange(pending_reads_.begin(), end)));
     pending_reads_.erase(pending_reads_.begin(), end);
     deliver_to(Compartment::Execution, env, out);
   }

@@ -157,20 +157,15 @@ std::vector<net::Envelope> SplitClient::submit(Bytes operation, Micros now,
   // End-to-end encryption: only Execution enclaves hold the session key.
   // Fast reads seal under the same request channel — the ordered fallback
   // re-broadcasts these exact bytes, so the operation is encrypted once.
-  // The Request is written once, in its wire layout (Request::serialize),
-  // into one buffer: the fixed fields, the operation sealed in place, then
-  // the MAC over everything before its length prefix — the bytes
-  // Request::mac covers.
+  // The Request is written once, in its wire layout, into one buffer: the
+  // header, the operation sealed in place, then the client MAC.
   const std::size_t sealed_size = operation.size() + crypto::kAeadTagBytes;
-  Writer w(4 + 8 + 4 + sealed_size + 4 + sizeof(Digest::bytes));
-  w.u32(id_);
-  w.u64(timestamp_);
-  w.u32(static_cast<std::uint32_t>(sealed_size));
+  Writer w(pbft::kRequestHeaderBytes + sealed_size + pbft::kMacFieldBytes);
+  pbft::write_request_header(w, id_, timestamp_, sealed_size);
   crypto::aead_seal_into(session_key_,
                          crypto::make_nonce(channels::kRequest, timestamp_),
                          {}, operation, w.extend(sealed_size));
-  const Digest mac = crypto::hmac_sha256(mac_key_, w.data());
-  w.bytes(mac.view());
+  pbft::append_mac(w, mac_key_);
   request_ = SharedBytes(std::move(w).take());
 
   fast_read_ = read_only && config_.read_path;

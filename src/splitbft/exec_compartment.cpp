@@ -349,11 +349,9 @@ void ExecCompartment::stage_client_reply(ClientId client, Timestamp ts,
                           static_cast<std::uint32_t>(
                               record.last_result.size())});
   append(unit.results, record.last_result);
-  // With 2+ workers a batch's replies are cut into fixed-size units so
-  // they seal in parallel while later requests still execute.
-  if (runner_->workers() >= 2 && unit.entries.size() >= kRepliesPerUnit) {
-    submit_replies();
-  }
+  // A batch's replies are cut into fixed-size units, so with runner
+  // workers they seal in parallel while later requests still execute.
+  if (unit.entries.size() >= kRepliesPerUnit) submit_replies();
 }
 
 void ExecCompartment::submit_replies() {
@@ -363,7 +361,12 @@ void ExecCompartment::submit_replies() {
   // after execution. It touches only the unit it owns, the session table
   // (not mutated during execution ecalls) and the thread-safe clients_
   // cache.
-  runner_->submit([this, unit = std::exchange(pending_replies_, {})]()
+  ReplyUnit unit = std::exchange(pending_replies_, {});
+  // The next unit is sized like this one, so it fills without regrowing.
+  pending_replies_.entries.reserve(kRepliesPerUnit);
+  pending_replies_.results.reserve(unit.results.size() /
+                                   unit.entries.size() * kRepliesPerUnit);
+  runner_->submit([this, unit = std::move(unit)]()
                       -> runtime::runner::Epilogue {
     Out replies;
     replies.reserve(unit.entries.size());
@@ -383,23 +386,15 @@ void ExecCompartment::submit_replies() {
 net::Envelope ExecCompartment::reply_envelope(ClientId client, Timestamp ts,
                                               bool no_op,
                                               ByteView result) const {
-  // The Reply is written once, in its wire layout (pbft::Reply::serialize),
-  // into its payload buffer: the fixed fields, the result sealed in place,
-  // then the MAC over everything before its length prefix — exactly the
-  // bytes Reply::mac covers.
+  // The Reply is written once, in its wire layout, into its payload
+  // buffer: the header, the result sealed in place, then the client MAC.
   const auto session = sessions_.find(client);
   const bool sealed = !no_op && session != sessions_.end();
   const Bytes marker = sealed ? Bytes{} : no_op_marker();
   const std::size_t result_size =
       sealed ? result.size() + crypto::kAeadTagBytes : marker.size();
-  constexpr std::size_t kFixed = 8 + 8 + 4 + 4 + 4;
-  constexpr std::size_t kMac = 4 + sizeof(Digest::bytes);
-  Writer w(kFixed + result_size + kMac);
-  w.u64(view_);
-  w.u64(ts);
-  w.u32(client);
-  w.u32(self_);
-  w.u32(static_cast<std::uint32_t>(result_size));
+  Writer w(pbft::kReplyHeaderBytes + result_size + pbft::kMacFieldBytes);
+  pbft::write_reply_header(w, view_, ts, client, self_, result_size);
   std::uint8_t* body = w.extend(result_size);
   if (sealed) {
     crypto::aead_seal_into(session->second,
@@ -408,8 +403,7 @@ net::Envelope ExecCompartment::reply_envelope(ClientId client, Timestamp ts,
   } else {
     std::copy(marker.begin(), marker.end(), body);
   }
-  const Digest mac = crypto::hmac_sha256(clients_.hmac_key(client), w.data());
-  w.bytes(mac.view());
+  pbft::append_mac(w, clients_.hmac_key(client));
 
   net::Envelope env;
   env.src = signer_->id();

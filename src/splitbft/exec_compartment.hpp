@@ -155,9 +155,9 @@ class ExecCompartment final : public CompartmentLogic {
 
   using Out = std::vector<net::Envelope>;
 
-  /// The replies of one executed batch (or of kRepliesPerUnit of them with
-  /// 2+ runner workers), staged as ONE runner unit. The unit owns copies
-  /// of its inputs; every plaintext result sits in one arena.
+  /// Up to kRepliesPerUnit replies of one executed batch, staged as ONE
+  /// runner unit. The unit owns copies of its inputs; every plaintext
+  /// result sits in one arena.
   struct ReplyUnit {
     struct Entry {
       ClientId client{0};

@@ -7,9 +7,8 @@ namespace sbft::splitbft {
 
 namespace {
 
-// Envelope wire image floor (routing header, type, two length prefixes)
-// plus the outbox entry's own length prefix.
-constexpr std::size_t kMinOutboxEntry = 4 + 28;
+// The outbox entry's length prefix plus the smallest envelope wire image.
+constexpr std::size_t kMinOutboxEntry = 4 + net::Envelope::kMinWireBytes;
 
 // SplitPrePrepare::header_bytes(): view, seq, digest, sender.
 constexpr std::size_t kHeaderBytes = 8 + 8 + 32 + 4;

@@ -179,7 +179,7 @@ class ClosedLoop {
 
 // Before requests and replies crossed the broker and the enclave boundary
 // as one buffer each, this workload made 36.4 allocations per executed
-// request; it makes 9.1 since (3 of them in the KV store).
+// request; it makes 9.2 since (3 of them in the KV store).
 constexpr double kBudgetPerRequest = 14.0;
 
 TEST(AllocBudget, BackupBrokerStaysWithinBudgetPerExecutedRequest) {

@@ -573,5 +573,43 @@ TEST(PbftMessages, ReplyViewMatchesTheOwningParser) {
   }
 }
 
+// A message built in one buffer with the layout writers (header, body in
+// place, MAC) is byte for byte what serialize() writes from the fields.
+TEST(PbftMessages, LayoutWritersMatchSerialize) {
+  const crypto::HmacKey key = crypto::hmac_key(to_bytes("layout-key"));
+  Request req = sample_request();
+  const Digest req_mac = req.mac(key);
+  req.auth = Bytes(req_mac.bytes.begin(), req_mac.bytes.end());
+  Writer rw(kRequestHeaderBytes + req.payload.size() + kMacFieldBytes);
+  write_request_header(rw, req.client, req.timestamp, req.payload.size());
+  rw.raw(req.payload);
+  append_mac(rw, key);
+  EXPECT_EQ(rw.data(), req.serialize());
+  EXPECT_EQ(rw.data().capacity(), rw.size());  // sized once
+
+  Reply reply;
+  reply.view = 4;
+  reply.timestamp = 11;
+  reply.client = 77;
+  reply.sender = 3;
+  reply.result = filled(40, 9);
+  const Digest reply_mac = reply.mac(key);
+  reply.auth = Bytes(reply_mac.bytes.begin(), reply_mac.bytes.end());
+  Writer pw(kReplyHeaderBytes + reply.result.size() + kMacFieldBytes);
+  write_reply_header(pw, reply.view, reply.timestamp, reply.client,
+                     reply.sender, reply.result.size());
+  pw.raw(reply.result);
+  append_mac(pw, key);
+  EXPECT_EQ(pw.data(), reply.serialize());
+  EXPECT_EQ(pw.data().capacity(), pw.size());
+
+  const RequestBatch batch = mixed_batch();
+  std::vector<Bytes> serialized;
+  for (const auto& r : batch.requests) serialized.push_back(r.serialize());
+  EXPECT_EQ(concat_request_batch(serialized), batch.serialize());
+  EXPECT_EQ(concat_request_batch(std::vector<Bytes>{}),
+            RequestBatch{}.serialize());
+}
+
 }  // namespace
 }  // namespace sbft::pbft
