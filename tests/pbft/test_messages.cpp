@@ -486,8 +486,8 @@ TEST(PbftMessages, MacValidChecksAuthAndEveryField) {
   EXPECT_FALSE(rr.mac_valid(key));
 }
 
-// The zero-copy views accept exactly what the owning parsers accept,
-// alias the parsed bytes, and MAC the same bytes.
+// The zero-copy views alias the parsed bytes, MAC the same bytes as the
+// owning messages, and accept only a whole message.
 TEST(PbftMessages, RequestViewsMatchTheOwningParsers) {
   const crypto::HmacKey key = crypto::hmac_key(to_bytes("view-key"));
   const RequestBatch batch = mixed_batch();
@@ -516,21 +516,23 @@ TEST(PbftMessages, RequestViewsMatchTheOwningParsers) {
   EXPECT_FALSE(RequestView::parse(one)->mac_valid(
       crypto::hmac_key(to_bytes("other"))));
 
-  // Every prefix, and a trailing byte, parse exactly as deserialize does.
+  // Every strict prefix and a trailing byte are rejected, by the views
+  // and by the owning parsers built on them.
   Bytes longer = one;
   longer.push_back(0);
   for (std::size_t len = 0; len <= longer.size(); ++len) {
     const ByteView cut{longer.data(), len};
-    EXPECT_EQ(RequestView::parse(cut).has_value(),
-              Request::deserialize(cut).has_value())
+    EXPECT_EQ(RequestView::parse(cut).has_value(), len == one.size()) << len;
+    EXPECT_EQ(Request::deserialize(cut).has_value(), len == one.size())
         << len;
   }
   Bytes batch_longer = wire;
   batch_longer.push_back(0);
   for (std::size_t len = 0; len <= batch_longer.size(); ++len) {
     const ByteView cut{batch_longer.data(), len};
-    EXPECT_EQ(parse_request_batch(cut).has_value(),
-              RequestBatch::deserialize(cut).has_value())
+    EXPECT_EQ(parse_request_batch(cut).has_value(), len == wire.size())
+        << len;
+    EXPECT_EQ(RequestBatch::deserialize(cut).has_value(), len == wire.size())
         << len;
   }
   const auto empty = parse_request_batch(RequestBatch{}.serialize());
@@ -566,8 +568,9 @@ TEST(PbftMessages, ReplyViewMatchesTheOwningParser) {
     longer.push_back(0);
     for (std::size_t len = 0; len <= longer.size(); ++len) {
       const ByteView cut{longer.data(), len};
-      EXPECT_EQ(ReplyView::parse(cut).has_value(),
-                Reply::deserialize(cut).has_value())
+      EXPECT_EQ(ReplyView::parse(cut).has_value(), len == wire.size())
+          << len;
+      EXPECT_EQ(Reply::deserialize(cut).has_value(), len == wire.size())
           << len;
     }
   }
